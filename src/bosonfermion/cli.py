@@ -259,6 +259,8 @@ def run_det(args) -> int:
 
 
 def run_verify(args) -> int:
+    if args.max_size is not None and args.max_size < 0:
+        raise CliError(f"--max-size must be non-negative, got {args.max_size}")
     result = run_suite(args.suite, args.max_size)
     if args.json:
         print(json.dumps(result.to_json()))

@@ -26,9 +26,9 @@ def as_partition(parts) -> Partition:
         p = p[:-1]
     for a, b in zip(p, p[1:]):
         if a < b:
-            raise ValueError(f"parts are not weakly decreasing: {parts!r}")
+            raise ValueError(f"parts are not weakly decreasing: {p!r}")
     if p and p[-1] < 0:
-        raise ValueError(f"negative part in {parts!r}")
+        raise ValueError(f"negative part in {p!r}")
     return p
 
 
@@ -344,7 +344,8 @@ class ChargedSequence:
     @property
     def energy(self) -> int:
         total = sum(2 * self.charge + 2 * (i + 1) - x for i, x in enumerate(self.head))
-        assert total % 2 == 0
+        if total % 2:
+            raise RuntimeError(f"odd doubled energy {total} for {self}")
         return total // 2
 
     def display(self, extra: int = 2) -> str:

@@ -1,8 +1,10 @@
-"""Dense exact-rational matrices.
+"""Exact-rational linear algebra over ``Fraction``.
 
-Small and dependency free: the matrices in this library stay well under a
-few hundred rows, so plain fraction-free elimination over ``Fraction`` is
-both exact and fast enough.
+Small and dependency free.  ``RationalMatrix`` is dense and serves the small
+factorial and boundary matrices of this library (determinants, ranks and
+square solves).  ``solve_in_span`` works on sparse vectors instead, given as
+dicts from coordinate keys to nonzero values, so its cost follows the
+supports of the vectors and not the size of the ambient space.
 """
 
 from __future__ import annotations
@@ -14,6 +16,13 @@ class SingularMatrixError(ValueError):
     pass
 
 
+_ZERO = Fraction(0)
+
+
+def _as_fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def format_fraction(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -23,7 +32,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows_data):
-        self.data = [[Fraction(x) for x in row] for row in rows_data]
+        self.data = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows_data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         for row in self.data:
@@ -158,42 +167,30 @@ class RationalMatrix:
         return f"RationalMatrix({self.to_strings()})"
 
 
-def solve_in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
-    """Express ``target`` in the span of independent ``vectors``.
+def solve_in_span(vectors: list[dict], target: dict) -> list[Fraction] | None:
+    """Express ``target`` in the span of independent sparse ``vectors``.
 
-    Returns the coefficient list, or None if the target is not in the span.
-    Raises ValueError when the given vectors are linearly dependent.
+    Each vector maps a coordinate key to its value; a missing key is zero.
+    One Gauss-Jordan pass runs over the union of the supports only.  Returns
+    the coefficient list, or None if the target is not in the span.  Raises
+    ValueError when the given vectors are linearly dependent.
     """
     if not vectors:
         raise ValueError("need at least one vector")
-    length = len(vectors[0])
-    if any(len(v) != length for v in vectors) or len(target) != length:
-        raise ValueError("length mismatch")
     cols = len(vectors)
-    a = RationalMatrix([[vectors[j][i] for j in range(cols)] for i in range(length)])
-    if a.rank() != cols:
-        raise ValueError("vectors are linearly dependent")
-    # eliminate on the augmented system and read off the unique candidate
-    m = [[vectors[j][i] for j in range(cols)] + [Fraction(target[i])] for i in range(length)]
-    pivot_rows = []
-    rank = 0
+    keys = dict.fromkeys(key for v in (*vectors, target) for key in v)
+    m = [[_as_fraction(v.get(key, _ZERO)) for v in (*vectors, target)] for key in keys]
     for col in range(cols):
-        pivot = next((r for r in range(rank, length) if m[r][col]), None)
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
         if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(length):
-            if r != rank and m[r][col]:
+            raise ValueError("vectors are linearly dependent")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(len(m)):
+            if r != col and m[r][col]:
                 factor = m[r][col]
-                m[r] = [a_ - factor * b_ for a_, b_ in zip(m[r], m[rank])]
-        pivot_rows.append(col)
-        rank += 1
-    for r in range(rank, length):
-        if m[r][cols]:
-            return None
-    coeffs = [Fraction(0)] * cols
-    for r, col in enumerate(pivot_rows):
-        coeffs[col] = m[r][cols]
-    return coeffs
+                m[r] = [a - factor * b if b else a for a, b in zip(m[r], m[col])]
+    if any(row[cols] for row in m[cols:]):
+        return None
+    return [m[col][cols] for col in range(cols)]

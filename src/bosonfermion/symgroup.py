@@ -98,8 +98,27 @@ def row_filling(shape: Partition) -> StandardTableau:
     return StandardTableau(shape, tuple(rows))
 
 
+@lru_cache(maxsize=None)
 def _index_of(shape: Partition) -> dict[StandardTableau, int]:
     return {t: i for i, t in enumerate(tableaux(shape))}
+
+
+@lru_cache(maxsize=None)
+def _extension(lam: Partition, mu: Partition) -> tuple[int, ...]:
+    """For each tableau of lam, the index of its extension among the tableaux of mu."""
+    box = added_box(lam, mu)
+    n = sum(mu)
+    index = _index_of(mu)
+    return tuple(index[t.with_entry(box, n)] for t in tableaux(lam))
+
+
+def _dense(rows, cols: int) -> RationalMatrix:
+    """Dense matrix of sparse rows of (column, value) pairs."""
+    out = [[Fraction(0)] * cols for _ in rows]
+    for out_row, row in zip(out, rows):
+        for col, value in row:
+            out_row[col] = value
+    return RationalMatrix(out)
 
 
 def _length(t: StandardTableau) -> int:
@@ -133,7 +152,8 @@ def _scale_table(shape: Partition) -> dict[StandardTableau, Fraction]:
                     raise ValueError(f"inconsistent rescaling constants for {other}")
             else:
                 table[other] = value
-    assert len(table) == len(all_t)
+    if len(table) != len(all_t):
+        raise RuntimeError(f"rescaling constants reach {len(table)} of {len(all_t)} tableaux")
     return table
 
 
@@ -142,19 +162,23 @@ def c_scale(t: StandardTableau) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _rep_rows(i: int, shape: Partition) -> tuple[tuple[Fraction, ...], ...]:
-    ts = tableaux(shape)
+def _rep_rows(i: int, shape: Partition) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    """Sparse rows of the i-th adjacent transposition: (column, value) pairs.
+
+    Each row has the diagonal entry 1/d and, when the swap stays standard,
+    the entry (d-1)/d at the swapped tableau, so at most two nonzeros.
+    """
     index = _index_of(shape)
-    size = len(ts)
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for t_idx, t in enumerate(ts):
+    rows = []
+    for t_idx, t in enumerate(tableaux(shape)):
         r1, c1 = t.position(i)
         r2, c2 = t.position(i + 1)
         d = (c2 - r2) - (c1 - r1)
-        rows[t_idx][t_idx] = Fraction(1, d)
+        row = [(t_idx, Fraction(1, d))]
         if r1 != r2 and c1 != c2:
-            rows[t_idx][index[t.swap(i)]] = Fraction(d - 1, d)
-    return tuple(tuple(row) for row in rows)
+            row.append((index[t.swap(i)], Fraction(d - 1, d)))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def rep_action(i: int, shape) -> RationalMatrix:
@@ -167,7 +191,8 @@ def rep_action(i: int, shape) -> RationalMatrix:
     n = sum(shape)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    return RationalMatrix(_rep_rows(i, shape))
+    rows = _rep_rows(i, shape)
+    return _dense(rows, len(rows))
 
 
 def f_map(lam, mu) -> RationalMatrix:
@@ -178,22 +203,30 @@ def f_map(lam, mu) -> RationalMatrix:
     lam, mu = as_partition(lam), as_partition(mu)
     if mu not in ind_set(lam):
         raise ValueError(f"{mu} does not cover {lam}")
-    box = added_box(lam, mu)
-    n = sum(mu)
-    index = _index_of(mu)
-    src = tableaux(lam)
-    rows = [[Fraction(0)] * len(index) for _ in src]
-    for t_idx, t in enumerate(src):
-        rows[t_idx][index[t.with_entry(box, n)]] = Fraction(1)
-    return RationalMatrix(rows)
+    one = Fraction(1)
+    return _dense([((col, one),) for col in _extension(lam, mu)], len(tableaux(mu)))
 
 
-def _flatten(m: RationalMatrix) -> list[Fraction]:
-    return [x for row in m.data for x in row]
+def _path_columns(lam1, lam, mu) -> list[int]:
+    """For each tableau of lam1, the column of its image under the composite inclusion."""
+    through = _extension(lam, mu)
+    return [through[mid] for mid in _extension(lam1, lam)]
 
 
-def _composite(lam1, lam, mu) -> RationalMatrix:
-    return f_map(lam1, lam) @ f_map(lam, mu)
+def _composite(lam1, lam, mu) -> dict[tuple[int, int], Fraction]:
+    """The composite inclusion lam1 -> lam -> mu, keyed by (row, column)."""
+    one = Fraction(1)
+    return {(row, col): one for row, col in enumerate(_path_columns(lam1, lam, mu))}
+
+
+def _swapped_composite(lam1, lam, mu) -> dict[tuple[int, int], Fraction]:
+    """The composite inclusion followed by s_{n-1} on mu, keyed by (row, column)."""
+    s_rows = _rep_rows(sum(mu) - 1, mu)
+    return {
+        (row, col): value
+        for row, image in enumerate(_path_columns(lam1, lam, mu))
+        for col, value in s_rows[image]
+    }
 
 
 def _validate_path(lam1, lam, mu):
@@ -207,17 +240,16 @@ def square_coeffs(lam1, lam, nu, mu) -> tuple[Fraction, Fraction]:
     """Decompose the swapped composite inclusion over the two sides of a square.
 
     Returns (alpha, beta) with  s . (f through lam)  =  alpha * (f through lam)
-    + beta * (f through nu), solved exactly on the composed matrices.
+    + beta * (f through nu), solved exactly on the sparse composed maps: one
+    equation per nonzero entry, one row of s per tableau of lam1.
     """
     lam1, lam, mu = _validate_path(lam1, lam, mu)
     nu = as_partition(nu)
     if nu == lam or nu not in ind_set(lam1) or mu not in ind_set(nu):
         raise ValueError(f"{lam1} -> {lam},{nu} -> {mu} is not a square")
-    f_through_lam = _composite(lam1, lam, mu)
-    f_through_nu = _composite(lam1, nu, mu)
-    swapped = f_through_lam @ rep_action(sum(mu) - 1, mu)
     coeffs = solve_in_span(
-        [_flatten(f_through_lam), _flatten(f_through_nu)], _flatten(swapped)
+        [_composite(lam1, lam, mu), _composite(lam1, nu, mu)],
+        _swapped_composite(lam1, lam, mu),
     )
     if coeffs is None:
         raise ValueError("swapped composite is not in the span of the square composites")
@@ -307,9 +339,10 @@ def a_closed_expanded(lam1, lam, mu) -> Fraction:
 def a_oracle(lam1, lam, mu, branch: str) -> Fraction:
     """Structure constant recomputed from first principles.
 
-    Builds the composed inclusion matrices, acts by the adjacent swap on the
-    target module, decomposes exactly, and rescales by the h ratio.  The
-    closed forms above are never consulted.
+    Composes the inclusions as index maps, acts by the sparse rows of the
+    adjacent swap on the target module, decomposes the result exactly over
+    the composites (``square_coeffs`` in the square case), and rescales by
+    the h ratio.  The closed forms above are never consulted.
     """
     lam1, lam, mu = _validate_path(lam1, lam, mu)
     b1, b2, two_dim = _classify(lam1, lam, mu)
@@ -317,22 +350,14 @@ def a_oracle(lam1, lam, mu, branch: str) -> Fraction:
         raise ValueError(f"unknown branch {branch!r}")
     if branch == NU_BRANCH and not two_dim:
         raise ValueError("no second branch: the added boxes form a domino")
-    f_through_lam = _composite(lam1, lam, mu)
-    swapped = f_through_lam @ rep_action(sum(mu) - 1, mu)
     h_base = h_coeff(lam1, lam)
     if two_dim:
         nu = add_box(lam1, b2)
-        f_through_nu = _composite(lam1, nu, mu)
-        coeffs = solve_in_span(
-            [_flatten(f_through_lam), _flatten(f_through_nu)], _flatten(swapped)
-        )
-        if coeffs is None:
-            raise ValueError("swapped composite escaped the span of the square composites")
-        alpha, beta = coeffs
+        alpha, beta = square_coeffs(lam1, lam, nu, mu)
         if branch == LAM_BRANCH:
             return alpha * h_coeff(lam, mu) / h_base
         return beta * h_coeff(nu, mu) / h_base
-    coeffs = solve_in_span([_flatten(f_through_lam)], _flatten(swapped))
+    coeffs = solve_in_span([_composite(lam1, lam, mu)], _swapped_composite(lam1, lam, mu))
     if coeffs is None:
         raise ValueError("swapped composite is not proportional to the composite")
     return coeffs[0] * h_coeff(lam, mu) / h_base

@@ -105,6 +105,29 @@ def test_verify_pass_and_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+def test_partition_error_names_the_parts(capsys):
+    code, out, err = run(capsys, "act", "--op", "q", "--on", "(1,2)")
+    assert code == 2 and out == ""
+    assert "not weakly decreasing: (1, 2)" in err and "generator" not in err
+
+
+def test_verify_rejects_negative_size(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "bfhcl", "--max-size", "-1")
+    assert code == 2 and out == ""
+    assert "--max-size must be non-negative" in err
+
+
+def test_internal_failure_is_not_a_usage_error(monkeypatch):
+    from bosonfermion import symgroup
+
+    def broken(*args):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(symgroup, "a_oracle", broken)
+    with pytest.raises(RuntimeError):
+        main(["coeff", "--lam1", "(1)", "--lam", "(2)", "--mu", "(2,1)"])
+
+
 def test_verify_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--suite", "resolutions", "--max-size", "3", "--json")
     code2, out2, _ = run(capsys, "verify", "--suite", "resolutions", "--max-size", "3", "--json")

@@ -20,6 +20,7 @@ from bosonfermion.correspondence import (
 )
 from bosonfermion.partitions import partitions_bounded, partitions_up_to, res_set
 from bosonfermion.ratmat import RationalMatrix
+from bosonfermion.suites import run_suite
 from bosonfermion.symgroup import LAM_BRANCH, NU_BRANCH
 
 
@@ -177,6 +178,12 @@ def test_verify_sweep_medium():
     for mu in partitions_up_to(6):
         if mu:
             assert verify_bf_hcl(mu)["passed"], mu
+
+
+def test_bfhcl_suite_at_size_ten():
+    result = run_suite("bfhcl", 10)
+    assert result.passed, result.failures[:3]
+    assert result.cases == 1091
 
 
 def test_subclaim_examples_and_sweep():

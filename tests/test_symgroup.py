@@ -222,6 +222,25 @@ def test_symmetrized_composites_agree_on_squares():
                 assert f1 @ (ident + s) == f2 @ (ident + s), (lam1, lam, nu, mu)
 
 
+def test_oracle_coefficients_solve_the_dense_system():
+    # undo the h rescaling of the oracle and check the decomposition of the
+    # swapped composite on dense matrices built independently of the oracle
+    for lam1, lam, mu in paths(7):
+        b1, b2 = added_box(lam1, lam), added_box(lam, mu)
+        f1 = f_map(lam1, lam) @ f_map(lam, mu)
+        s = rep_action(sum(mu) - 1, mu)
+        h_base = h_coeff(lam1, lam)
+        alpha = a_oracle(lam1, lam, mu, LAM_BRANCH) * h_base / h_coeff(lam, mu)
+        if b1[0] == b2[0] or b1[1] == b2[1]:
+            assert f1 @ s == alpha * f1, (lam1, lam, mu)
+            continue
+        nu = as_partition([part(lam1, i) + (i == b2[0]) for i in range(1, len(mu) + 1)])
+        f2 = f_map(lam1, nu) @ f_map(nu, mu)
+        beta = a_oracle(lam1, lam, mu, NU_BRANCH) * h_base / h_coeff(nu, mu)
+        assert (alpha, beta) == square_coeffs(lam1, lam, nu, mu)
+        assert f1 @ s == alpha * f1 + beta * f2, (lam1, lam, nu, mu)
+
+
 def test_expanded_form_on_its_configuration():
     seen = 0
     for lam1, lam, mu in paths(8):
