@@ -66,35 +66,11 @@ def partition_text(p) -> str:
 
 
 def schur_text(v: SchurVector) -> str:
-    if v.is_zero():
-        return "0"
-    pieces = []
-    for key, coeff in sorted(v.items(), key=lambda kv: kv[0], reverse=True):
-        body = partition_text(key)
-        mag = abs(coeff)
-        term = body if mag == 1 else f"{format_fraction(mag)}*{body}"
-        pieces.append(("-" if coeff < 0 else "+", term))
-    head_sign, head = pieces[0]
-    out = ("-" if head_sign == "-" else "") + head
-    for sign, term in pieces[1:]:
-        out += f" {sign} {term}"
-    return out
+    return v.to_text(partition_text, reverse=True)
 
 
 def fock_text(v: FockVector) -> str:
-    if v.is_zero():
-        return "0"
-    pieces = []
-    for key, coeff in sorted(v.items(), key=lambda kv: (kv[0].charge, kv[0].head)):
-        body = key.display()
-        mag = abs(coeff)
-        term = body if mag == 1 else f"{format_fraction(mag)}*{body}"
-        pieces.append(("-" if coeff < 0 else "+", term))
-    head_sign, head = pieces[0]
-    out = ("-" if head_sign == "-" else "") + head
-    for sign, term in pieces[1:]:
-        out += f" {sign} {term}"
-    return out
+    return v.to_text(ChargedSequence.display)
 
 
 _FOCK_OP = re.compile(r"^(t|psi\*|psi|sbar|sn|gq|gp|tau)\s*(-?\d+)$")

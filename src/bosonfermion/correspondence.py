@@ -344,9 +344,8 @@ def sn_bridge_holds(lam, n: int) -> bool:
     lam = as_partition(lam)
     if len(lam) > n:
         raise ValueError(f"{lam} has more than {n} rows")
-    lhs = FockVector.zero()
-    for t in range(n + 1):
-        sign = -1 if (t + n) % 2 else 1
-        lhs = lhs + sign * FockVector.basis(to_sequence(lambda_t(lam, n, t)))
+    lhs = FockVector(
+        (to_sequence(lambda_t(lam, n, t)), -1 if (t + n) % 2 else 1) for t in range(n + 1)
+    )
     rhs = s_n_op(n, FockVector.basis(to_sequence(lam)))
     return lhs == rhs

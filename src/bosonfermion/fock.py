@@ -17,20 +17,14 @@ CliffordWord = tuple[int, ...]
 class FockVector(FormalSum):
     """Finite rational linear combination of charged sequences."""
 
-    def __init__(self, terms=None):
-        super().__init__(terms)
-        for key in self._terms:
-            if not isinstance(key, ChargedSequence):
-                raise TypeError(f"FockVector keys must be ChargedSequence, got {key!r}")
+    @staticmethod
+    def _check_key(key):
+        if not isinstance(key, ChargedSequence):
+            raise TypeError(f"FockVector keys must be ChargedSequence, got {key!r}")
+        return key
 
     def to_json(self):
-        return [
-            {
-                "sequence": {"charge": k.charge, "head": list(k.head)},
-                "coefficient": f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator),
-            }
-            for k, c in self.sorted_items()
-        ]
+        return self.json_terms("sequence", lambda k: {"charge": k.charge, "head": list(k.head)})
 
 
 def vacuum(charge: int = 0) -> FockVector:
@@ -44,7 +38,7 @@ def _sign(exponent: int) -> int:
 def _psi_key(j: int, key: ChargedSequence):
     ins = key.insert(2 * j)
     if ins is None:
-        return None
+        return []
     n, seq = ins
     return [(_sign(n), seq)]
 
@@ -52,9 +46,17 @@ def _psi_key(j: int, key: ChargedSequence):
 def _psi_star_key(j: int, key: ChargedSequence):
     rem = key.remove(2 * j)
     if rem is None:
-        return None
+        return []
     n, seq = rem
     return [(_sign(n - 1), seq)]
+
+
+def _t_key(i: int, key: ChargedSequence):
+    """Images of one sequence under t_i as (sign, sequence) pairs."""
+    if i % 2 == 0:
+        return _psi_key(i // 2, key)
+    j = (i + 1) // 2
+    return _psi_star_key(j, key) + _psi_star_key(j - 1, key)
 
 
 def apply_psi(j: int, v: FockVector) -> FockVector:
@@ -71,11 +73,9 @@ def apply_t(i: int, v: FockVector) -> FockVector:
     """The Clifford generator: insertion for even i, double contraction for odd.
 
     Even generators lower the charge by one, odd generators raise it by one.
+    An odd generator makes both contractions of a sequence in one pass.
     """
-    if i % 2 == 0:
-        return apply_psi(i // 2, v)
-    j = (i + 1) // 2
-    return apply_psi_star(j, v) + apply_psi_star(j - 1, v)
+    return v.apply(lambda key: _t_key(i, key))
 
 
 def apply_word(word, v: FockVector) -> FockVector:
@@ -98,12 +98,14 @@ def s_bar_n(n: int, v: FockVector) -> FockVector:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = FockVector.zero()
-    for key, coeff in v.items():
+
+    def images(key):
         lo = key.value(1) // 2 - 1
-        for i in range(lo, n + 1):
-            total = total + (coeff * _sign(i)) * apply_t(2 * i + 1, FockVector.basis(key))
-    return tau(total, -1)
+        return [
+            (_sign(i) * c, seq) for i in range(lo, n + 1) for c, seq in _t_key(2 * i + 1, key)
+        ]
+
+    return tau(v.apply(images), -1)
 
 
 def s_n_op(n: int, v: FockVector) -> FockVector:
@@ -113,36 +115,32 @@ def s_n_op(n: int, v: FockVector) -> FockVector:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = FockVector.zero()
-    for key, coeff in v.items():
+
+    def images(key):
         hi = key.first_tail_value // 2 - 1
-        for i in range(-n, hi + 1):
-            total = total + (coeff * _sign(i)) * apply_t(2 * i, FockVector.basis(key))
-    return tau(total, 1)
+        return [(_sign(i) * c, seq) for i in range(-n, hi + 1) for c, seq in _t_key(2 * i, key)]
+
+    return tau(v.apply(images), 1)
+
+
+def _quadratic_trunc(N: int, d: int, v: FockVector) -> FockVector:
+    """Sum of t_{2i} t_{2i+d} over -N <= i <= 0 minus t_{2i+d} t_{2i} over 1 <= i <= N."""
+    if N < 1:
+        raise ValueError("N must be positive")
+    return FockVector.linear_combination(
+        [(1, apply_word((2 * i, 2 * i + d), v)) for i in range(-N, 1)]
+        + [(-1, apply_word((2 * i + d, 2 * i), v)) for i in range(1, N + 1)]
+    )
 
 
 def g_q_trunc(N: int, v: FockVector) -> FockVector:
     """Truncation of the quadratic expression acting as the box-removal operator."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    total = FockVector.zero()
-    for i in range(-N, 1):
-        total = total + apply_word((2 * i, 2 * i - 1), v)
-    for i in range(1, N + 1):
-        total = total - apply_word((2 * i - 1, 2 * i), v)
-    return total
+    return _quadratic_trunc(N, -1, v)
 
 
 def g_p_trunc(N: int, v: FockVector) -> FockVector:
     """Truncation of the quadratic expression acting as the box-addition operator."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    total = FockVector.zero()
-    for i in range(-N, 1):
-        total = total + apply_word((2 * i, 2 * i + 1), v)
-    for i in range(1, N + 1):
-        total = total - apply_word((2 * i + 1, 2 * i), v)
-    return total
+    return _quadratic_trunc(N, 1, v)
 
 
 def stable_truncation(p) -> int:

@@ -1,15 +1,43 @@
-"""Finite formal sums with exact rational coefficients."""
+"""Finite formal sums with exact rational coefficients.
+
+Every stored coefficient is a nonzero ``Fraction``, whatever numbers went in.
+Terms are combined by one accumulation routine, ``_accumulate``.  Keys from
+outside a vector (given to the constructor, or made by the map given to
+``apply`` or ``map_keys``) first pass the subclass hook ``_check_key``;
+``__add__`` and ``linear_combination`` combine only vectors of one type,
+whose keys have passed it already.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .ratmat import format_fraction
+
+
+def _accumulate(data: dict, key, coeff) -> None:
+    """Add ``coeff * key`` into ``data``; a key whose coefficient cancels is removed.
+
+    Only a coefficient that is not a ``Fraction`` yet is wrapped in one.
+    """
+    if type(coeff) is not Fraction:
+        coeff = Fraction(coeff)
+    if key in data:
+        coeff = data[key] + coeff
+        if not coeff:
+            del data[key]
+            return
+    elif not coeff:
+        return
+    data[key] = coeff
+
 
 class FormalSum:
     """A finite linear combination of hashable basis keys over the rationals.
 
-    Zero coefficients are never stored, so equality of term dictionaries is
-    equality of vectors.
+    Coefficients are always ``Fraction`` and zero coefficients are never
+    stored, so equality of term dictionaries is equality of vectors.
+    Subclasses validate or normalise keys by overriding ``_check_key``.
     """
 
     __slots__ = ("_terms",)
@@ -17,14 +45,22 @@ class FormalSum:
     def __init__(self, terms=None):
         data: dict = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, coeff in items:
-                c = data.get(key, 0) + Fraction(coeff)
-                if c:
-                    data[key] = c
-                elif key in data:
-                    del data[key]
+            check = self._check_key
+            for key, coeff in terms.items() if isinstance(terms, dict) else terms:
+                _accumulate(data, check(key), coeff)
         self._terms = data
+
+    @staticmethod
+    def _check_key(key):
+        """Return the key to store for ``key``; raise if it is not a basis key."""
+        return key
+
+    @classmethod
+    def _wrap(cls, data: dict):
+        """A vector of this type over a term dictionary built by ``_accumulate``."""
+        result = cls.__new__(cls)
+        result._terms = data
+        return result
 
     @classmethod
     def basis(cls, key, coeff=1):
@@ -33,6 +69,17 @@ class FormalSum:
     @classmethod
     def zero(cls):
         return cls()
+
+    @classmethod
+    def linear_combination(cls, scaled):
+        """The sum of ``scalar * vector`` over (scalar, vector) pairs, in one pass."""
+        data: dict = {}
+        for scalar, vector in scaled:
+            if type(vector) is not cls:
+                raise TypeError(f"expected {cls.__name__}, got {type(vector).__name__}")
+            for key, coeff in vector._terms.items():
+                _accumulate(data, key, coeff if scalar == 1 else coeff * scalar)
+        return cls._wrap(data)
 
     def items(self):
         return self._terms.items()
@@ -66,14 +113,8 @@ class FormalSum:
             return NotImplemented
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            c = out.get(key, 0) + coeff
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-        result = type(self).__new__(type(self))
-        result._terms = out
-        return result
+            _accumulate(out, key, coeff)
+        return self._wrap(out)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -83,27 +124,47 @@ class FormalSum:
 
     def __rmul__(self, scalar):
         c = Fraction(scalar)
-        result = type(self).__new__(type(self))
-        result._terms = {k: c * v for k, v in self._terms.items()} if c else {}
-        return result
+        return self._wrap({k: c * v for k, v in self._terms.items()} if c else {})
 
     def apply(self, action):
         """Linear extension of a basis-level map.
 
         ``action(key)`` returns an iterable of (coefficient, key) pairs, or
-        None for the zero vector.
+        None for the zero vector.  Every image key passes ``_check_key``.
         """
-        out = []
+        data: dict = {}
+        check = self._check_key
         for key, coeff in self._terms.items():
             images = action(key)
-            if images is None:
-                continue
-            for c, new_key in images:
-                out.append((new_key, coeff * c))
-        return type(self)(out)
+            if images:
+                for c, new_key in images:
+                    _accumulate(data, check(new_key), coeff if c == 1 else coeff * c)
+        return self._wrap(data)
 
     def map_keys(self, fn):
-        return type(self)([(fn(k), c) for k, c in self._terms.items()])
+        return self.apply(lambda key: [(1, fn(key))])
+
+    def to_text(self, display, reverse: bool = False) -> str:
+        """Signed sum in key order, e.g. ``(2) - 1/2*(1,1)``; unit coefficients are omitted."""
+        if not self._terms:
+            return "0"
+        items = self.sorted_items()
+        pieces = []
+        for key, coeff in reversed(items) if reverse else items:
+            mag = abs(coeff)
+            term = display(key) if mag == 1 else f"{format_fraction(mag)}*{display(key)}"
+            if not pieces:
+                pieces.append(f"-{term}" if coeff < 0 else term)
+            else:
+                pieces.append(f" - {term}" if coeff < 0 else f" + {term}")
+        return "".join(pieces)
+
+    def json_terms(self, key_name: str, key_json) -> list[dict]:
+        """Terms in key order as ``{key_name: key_json(key), "coefficient": "p/q"}``."""
+        return [
+            {key_name: key_json(k), "coefficient": format_fraction(c)}
+            for k, c in self.sorted_items()
+        ]
 
     def __repr__(self):
         if not self._terms:

@@ -21,7 +21,7 @@ EMPTY: Partition = ()
 
 def as_partition(parts) -> Partition:
     """Normalize an iterable of parts: drop trailing zeros, validate monotonicity."""
-    p = tuple(int(x) for x in parts)
+    p = tuple(map(int, parts))
     while p and p[-1] == 0:
         p = p[:-1]
     for a, b in zip(p, p[1:]):

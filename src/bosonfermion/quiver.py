@@ -57,11 +57,9 @@ class FElement(FormalSum):
     """Rational combination of interlacing basis elements."""
 
     def __mul__(self, other: "FElement") -> "FElement":
-        out = FElement.zero()
-        for a, ca in self.items():
-            for b, cb in other.items():
-                out = out + (ca * cb) * multiply(a, b)
-        return out
+        return FElement.linear_combination(
+            (ca * cb, multiply(a, b)) for a, ca in self.items() for b, cb in other.items()
+        )
 
 
 def arrow(source, target) -> ArrowElement:

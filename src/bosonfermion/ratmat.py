@@ -24,7 +24,7 @@ def _as_fraction(x) -> Fraction:
 
 
 def format_fraction(x: Fraction) -> str:
-    x = Fraction(x)
+    x = _as_fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -22,25 +22,14 @@ from .partitions import (
 class SchurVector(FormalSum):
     """Finite rational linear combination of partitions."""
 
-    def __init__(self, terms=None):
-        cleaned = None
-        if terms is not None:
-            items = terms.items() if isinstance(terms, dict) else terms
-            cleaned = [(as_partition(k), c) for k, c in items]
-        super().__init__(cleaned)
+    _check_key = staticmethod(as_partition)
 
     def to_json(self):
-        return [
-            {
-                "partition": list(k),
-                "coefficient": f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator),
-            }
-            for k, c in self.sorted_items()
-        ]
+        return self.json_terms("partition", list)
 
 
 def schur_basis(p) -> SchurVector:
-    return SchurVector.basis(as_partition(p))
+    return SchurVector.basis(p)
 
 
 def apply_q(v: SchurVector) -> SchurVector:

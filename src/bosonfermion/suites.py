@@ -149,15 +149,20 @@ def suite_bfhcl(max_size: int) -> SuiteResult:
     golden = golden and symgroup.h_coeff((2,), (2, 1)) == 2
     golden = golden and symgroup.h_coeff((1,), (2,)) == Fraction(-1, 2)
     result.check("golden example", golden)
+    coefficient_cases = 0
     for mu in partitions_up_to(max_size):
         if not mu:
             continue
         report = co.verify_bf_hcl(mu)
         for case in report["cases"]:
+            coefficient_cases += 1
             result.check(
                 f"mu={mu} lam={tuple(case['lam'])} lam1={tuple(case['lam1'])} {case['branch']}",
                 case["pass"],
             )
+    if not coefficient_cases:
+        # a removal path needs |mu| >= 2; a sweep that checked no coefficient must not pass
+        result.failures.append(f"no coefficient case up to size {max_size}")
     for lam in partitions_up_to(min(max_size, 8)):
         n_stable = fock.stable_truncation(lam)
         fv = FockVector.basis(to_sequence(lam))

@@ -137,6 +137,32 @@ def test_verify_json_deterministic(capsys):
     assert payload["passed"] is True and payload["failures"] == []
 
 
+def test_act_json_deterministic(capsys):
+    # odd and even generators, the Serre sums and both quadratic truncations
+    on = "seq:0:-4,0,2"
+    for op in ("t3", "t-1", "t4", "t-2", "sbar3", "sn3", "gq4", "gp4"):
+        code1, out1, _ = run(capsys, "act", "--op", op, "--on", on, "--json")
+        code2, out2, _ = run(capsys, "act", "--op", op, "--on", on, "--json")
+        assert code1 == code2 == 0
+        assert out1 == out2, op
+        assert json.loads(out1)["vector"], op
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_bfhcl_sweep_without_coefficient_cases_fails(capsys, size):
+    code, out, _ = run(capsys, "verify", "--suite", "bfhcl", "--max-size", str(size), "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["passed"] is False
+    assert payload["failures"] == [f"no coefficient case up to size {size}"]
+    code, out, _ = run(capsys, "verify", "--suite", "bfhcl", "--max-size", str(size))
+    assert code == 1 and f"FAIL no coefficient case up to size {size}" in out
+
+
+def test_bfhcl_sweep_at_size_two_passes(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "bfhcl", "--max-size", "2", "--json")
+    assert code == 0 and json.loads(out)["passed"] is True
+
+
 def test_output_determinism(capsys):
     runs = [run(capsys, "complex", "--lam", "(3,1)")[1] for _ in range(2)]
     assert runs[0] == runs[1]

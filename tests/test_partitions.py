@@ -236,3 +236,88 @@ def test_strip_removal_is_adjoint_to_addition():
             removed = set(remove_vertical_strips(p, m))
             expect = {q for q in partitions_up_to(sum(p)) if p in set(add_vertical_strips(q, m))}
             assert removed == expect, (p, m)
+
+
+# -- charged sequences against an explicit-prefix model ---------------------
+
+# Every query value lies in [-SMALL, SMALL]; a prefix of len(head) + PAD
+# entries ends at or above 2 * PAD - 6 > SMALL + 2 for charges >= -3, so it
+# holds every entry of the sequence up to any query value and the next one.
+SMALL, PAD = 16, 20
+charges = st.integers(-3, 3)
+queries = st.integers(-SMALL, SMALL)
+
+
+def sequences():
+    return st.tuples(partitions(6), charges).map(lambda pk: to_sequence(pk[0]).shift(pk[1]))
+
+
+def model(s):
+    return list(s.prefix(len(s.head) + PAD))
+
+
+def inversions(values):
+    # bubble sort, counting adjacent swaps
+    vals, swaps = list(values), 0
+    for end in range(len(vals) - 1, 0, -1):
+        for i in range(end):
+            if vals[i] > vals[i + 1]:
+                vals[i], vals[i + 1] = vals[i + 1], vals[i]
+                swaps += 1
+    return swaps
+
+
+@settings(max_examples=200)
+@given(sequences(), queries)
+def test_count_below_against_model(s, x):
+    assert s.count_below(x) == sum(1 for v in model(s) if v < x)
+    assert (x in s) == (x in model(s))
+
+
+@settings(max_examples=200)
+@given(sequences(), queries)
+def test_insert_against_model(s, x):
+    if x % 2:
+        with pytest.raises(ValueError):
+            s.insert(x)
+        return
+    entries = model(s)
+    out = s.insert(x)
+    if x in entries:
+        assert out is None
+        return
+    n, seq = out
+    assert n == sum(1 for v in entries if v < x)
+    assert seq.charge == s.charge - 1
+    expected = sorted(entries + [x])
+    assert list(seq.prefix(len(expected))) == expected
+
+
+@settings(max_examples=200)
+@given(sequences(), queries)
+def test_remove_against_model(s, x):
+    entries = model(s)
+    out = s.remove(x)
+    if x not in entries:
+        assert out is None
+        return
+    pos, seq = out
+    assert pos == entries.index(x) + 1
+    assert seq.charge == s.charge + 1
+    expected = [v for v in entries if v != x]
+    assert list(seq.prefix(len(expected))) == expected
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-5, 5).map(lambda v: 2 * v), max_size=5), st.integers(-2, 2))
+def test_normalize_against_model(values, k):
+    m = len(values)
+    explicit = values + [2 * i + 2 * k for i in range(m + 1, m + PAD + 1)]
+    out = normalize(values, k)
+    if len(set(explicit)) < len(explicit):
+        assert out is None
+        return
+    sign, seq = out
+    assert sign == (-1) ** inversions(explicit)
+    assert seq.charge == k
+    assert list(seq.prefix(len(explicit))) == sorted(explicit)
