@@ -238,6 +238,37 @@ def wtq_tensor(lam) -> WtqComplex:
     return WtqComplex(lam, k, components, matrix_c(lam, k), corner_columns)
 
 
+def _g_vectors(lam: Partition, corners, k: int) -> list[list[Fraction]]:
+    """Chain-map solutions for several corners of lam, in one elimination of C.
+
+    Each corner contributes one right-hand side: inverse factorials measured
+    from its window index.  ``corners`` are validated partitions lam1 below
+    lam; ``k`` is at least the column count of lam.
+    """
+    if not corners:
+        return []
+    cols = dual(lam)
+    anchors = []
+    for lam1 in corners:
+        j1 = added_box(lam1, lam)[1]
+        anchors.append(-cols[j1 - 1] + j1 + 1)
+    rhs = [[-inv_factorial(i - anchor) for anchor in anchors] for i in range(1, k + 1)]
+    solutions = matrix_c(lam, k).solve(RationalMatrix(rhs))
+    return [solutions.column(c) for c in range(len(anchors))]
+
+
+def _lam_branch_solved(lam: Partition, mu: Partition, corners) -> list[Fraction]:
+    """The solved lam-branch coefficient of each path lam1 -> lam -> mu.
+
+    All corners lam1 of lam share the (lam, mu) edge, hence the window of
+    copies and the matrix C: one solve serves them all, and each reads the
+    component at the column j0 of the box added last.
+    """
+    j0 = added_box(lam, mu)[1]
+    copies = max(len(dual(lam)), j0)
+    return [g[j0 - 1] for g in _g_vectors(lam, corners, copies)]
+
+
 def g_vector(lam, lam1, copies: int | None = None) -> list[Fraction]:
     """Unique solution of the chain-map condition for the corner at lam1.
 
@@ -245,7 +276,8 @@ def g_vector(lam, lam1, copies: int | None = None) -> list[Fraction]:
     window index; nonsingularity of C makes the solution unique.  ``copies``
     may enlarge the window past the column count; the added columns belong to
     contractible pairs of the untruncated complex and leave the lower
-    components unchanged.
+    components unchanged.  This is the one-corner case of the elimination
+    that ``verify_bf_hcl`` runs once for all corners of lam.
     """
     lam, lam1 = as_partition(lam), as_partition(lam1)
     if lam1 not in res_set(lam):
@@ -254,17 +286,17 @@ def g_vector(lam, lam1, copies: int | None = None) -> list[Fraction]:
     k = len(cols) if copies is None else copies
     if k < len(cols):
         raise ValueError(f"copies={copies} is smaller than the column count of {lam}")
-    j1 = added_box(lam1, lam)[1]
-    anchor = -cols[j1 - 1] + j1 + 1
-    rhs = [-inv_factorial(i - anchor) for i in range(1, k + 1)]
-    return matrix_c(lam, k).solve(rhs)
+    return _g_vectors(lam, [lam1], k)[0]
 
 
 def tilde_a(lam1, lam, mu, branch: str) -> Fraction:
     """Coefficient read off from the collapsed complex.
 
     The second branch is structurally 1; the first is the component of the
-    linear solve at the column of the box added last.
+    linear solve at the column of the box added last (the one-corner case of
+    the shared solve in ``verify_bf_hcl``).  Only the factorial matrix C is
+    used: neither the closed form nor the oracle of
+    :mod:`bosonfermion.symgroup`.
     """
     lam1, lam, mu = as_partition(lam1), as_partition(lam), as_partition(mu)
     if lam1 not in res_set(lam) or lam not in res_set(mu):
@@ -277,9 +309,7 @@ def tilde_a(lam1, lam, mu, branch: str) -> Fraction:
         return Fraction(1)
     if branch != LAM_BRANCH:
         raise ValueError(f"unknown branch {branch!r}")
-    j0 = b2[1]
-    copies = max(len(dual(lam)), j0)
-    return g_vector(lam, lam1, copies)[j0 - 1]
+    return _lam_branch_solved(lam, mu, [lam1])[0]
 
 
 def verify_bf_hcl(mu) -> dict:
@@ -287,21 +317,25 @@ def verify_bf_hcl(mu) -> dict:
 
     For every length-two removal path below mu and every branch, the solved
     coefficient, the closed ratio form, and the representation-theoretic
-    oracle must agree exactly.
+    oracle must agree exactly.  The solved side eliminates C once per
+    (lam, mu) edge for all corners of lam; the oracle solves each square
+    once for both branches.  Neither route reads the other or the closed
+    form.
     """
     mu = as_partition(mu)
     cases = []
     for lam in sorted(res_set(mu)):
-        for lam1 in sorted(res_set(lam)):
+        corners = sorted(res_set(lam))
+        b2 = added_box(lam, mu)
+        for lam1, solved_lam in zip(corners, _lam_branch_solved(lam, mu, corners)):
             b1 = added_box(lam1, lam)
-            b2 = added_box(lam, mu)
             branches = [LAM_BRANCH]
             if b1[0] != b2[0] and b1[1] != b2[1]:
                 branches.append(NU_BRANCH)
             for branch in branches:
                 a = a_coeff(lam1, lam, mu, branch)
                 oracle = a_oracle(lam1, lam, mu, branch)
-                solved = tilde_a(lam1, lam, mu, branch)
+                solved = solved_lam if branch == LAM_BRANCH else tilde_a(lam1, lam, mu, branch)
                 cases.append(
                     {
                         "lam1": list(lam1),

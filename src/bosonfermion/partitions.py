@@ -170,6 +170,16 @@ def partitions_bounded(max_rows: int, max_size: int):
 # ---------------------------------------------------------------------------
 # strips
 
+def _trim_zeros(raw: tuple[int, ...]) -> Partition:
+    # the strip recursions build weakly decreasing tuples of ints by
+    # construction; only trailing empty rows remain to drop, and a
+    # SchurVector validates each key it is given
+    end = len(raw)
+    while end and not raw[end - 1]:
+        end -= 1
+    return raw[:end]
+
+
 def add_horizontal_strips(p: Partition, m: int):
     """All partitions obtained from p by adding m boxes, no two in one column."""
     if m < 0:
@@ -194,7 +204,7 @@ def add_horizontal_strips(p: Partition, m: int):
                 yield (val,) + rest
 
     for raw in rec(1, m):
-        yield as_partition(raw)
+        yield _trim_zeros(raw)
 
 
 def add_vertical_strips(p: Partition, m: int):
@@ -227,7 +237,7 @@ def remove_horizontal_strips(p: Partition, m: int):
                 yield (val,) + rest
 
     for raw in rec(1, m):
-        yield as_partition(raw)
+        yield _trim_zeros(raw)
 
 
 def remove_vertical_strips(p: Partition, m: int):

@@ -138,15 +138,23 @@ class RationalMatrix:
                 break
         return rank
 
-    def solve(self, rhs) -> list[Fraction]:
-        """Solve the square system ``self @ x = rhs`` exactly."""
+    def solve(self, rhs):
+        """Solve the square system ``self @ x = rhs`` exactly.
+
+        ``rhs`` is one right-hand side as a sequence, giving the solution as
+        a list, or several as the columns of a ``RationalMatrix``, giving the
+        matrix of solutions column by column.  Either way one Gauss-Jordan
+        pass runs over the matrix augmented by every right-hand side, so the
+        matrix is eliminated once however many systems share it.
+        """
         if self.rows != self.cols:
             raise ValueError("solve requires a square matrix")
         n = self.rows
-        b = [Fraction(x) for x in rhs]
+        several = isinstance(rhs, RationalMatrix)
+        b = rhs.data if several else [[_as_fraction(x)] for x in rhs]
         if len(b) != n:
             raise ValueError("rhs length mismatch")
-        m = [row[:] + [b[i]] for i, row in enumerate(self.data)]
+        m = [row + b_row for row, b_row in zip(self.data, b)]
         for col in range(n):
             pivot = next((r for r in range(col, n) if m[r][col]), None)
             if pivot is None:
@@ -157,8 +165,9 @@ class RationalMatrix:
             for r in range(n):
                 if r != col and m[r][col]:
                     factor = m[r][col]
-                    m[r] = [a - factor * c for a, c in zip(m[r], m[col])]
-        return [m[i][n] for i in range(n)]
+                    m[r] = [a - factor * c if c else a for a, c in zip(m[r], m[col])]
+        solutions = [row[n:] for row in m]
+        return RationalMatrix(solutions) if several else [row[0] for row in solutions]
 
     def to_strings(self) -> list[list[str]]:
         return [[format_fraction(x) for x in row] for row in self.data]

@@ -57,14 +57,19 @@ class StandardTableau:
                 pos[entry] = c - r
         return tuple(pos[v] for v in range(1, n + 1))
 
-    def with_entry(self, box: tuple[int, int], value: int) -> "StandardTableau":
+    def with_entry(self, box: tuple[int, int], value: int, shape: Partition) -> "StandardTableau":
+        """The tableau with ``value`` put in ``box``; ``shape`` is the extended shape.
+
+        Callers extend many tableaux by the same box, so they compute and
+        validate the extended shape once and pass it in.
+        """
         r = box[0]
         rows = [list(row) for row in self.rows]
         if r - 1 < len(rows):
             rows[r - 1].append(value)
         else:
             rows.append([value])
-        return StandardTableau(add_box(self.shape, box), tuple(tuple(row) for row in rows))
+        return StandardTableau(shape, tuple(tuple(row) for row in rows))
 
     def swap(self, i: int) -> "StandardTableau":
         rows = tuple(
@@ -83,7 +88,7 @@ def tableaux(shape: Partition) -> tuple[StandardTableau, ...]:
     out = []
     for corner in removable_corners(shape):
         for t in tableaux(remove_box(shape, corner)):
-            out.append(t.with_entry(corner, n))
+            out.append(t.with_entry(corner, n, shape))
     return tuple(sorted(out, key=lambda t: t.content_vector(), reverse=True))
 
 
@@ -109,7 +114,7 @@ def _extension(lam: Partition, mu: Partition) -> tuple[int, ...]:
     box = added_box(lam, mu)
     n = sum(mu)
     index = _index_of(mu)
-    return tuple(index[t.with_entry(box, n)] for t in tableaux(lam))
+    return tuple(index[t.with_entry(box, n, mu)] for t in tableaux(lam))
 
 
 def _dense(rows, cols: int) -> RationalMatrix:
@@ -149,7 +154,7 @@ def _scale_table(shape: Partition) -> dict[StandardTableau, Fraction]:
             value = Fraction(d, d - 1) * table[t]
             if other in table:
                 if table[other] != value:
-                    raise ValueError(f"inconsistent rescaling constants for {other}")
+                    raise RuntimeError(f"inconsistent rescaling constants for {other}")
             else:
                 table[other] = value
     if len(table) != len(all_t):
@@ -236,24 +241,34 @@ def _validate_path(lam1, lam, mu):
     return lam1, lam, mu
 
 
-def square_coeffs(lam1, lam, nu, mu) -> tuple[Fraction, Fraction]:
-    """Decompose the swapped composite inclusion over the two sides of a square.
-
-    Returns (alpha, beta) with  s . (f through lam)  =  alpha * (f through lam)
-    + beta * (f through nu), solved exactly on the sparse composed maps: one
-    equation per nonzero entry, one row of s per tableau of lam1.
-    """
-    lam1, lam, mu = _validate_path(lam1, lam, mu)
-    nu = as_partition(nu)
-    if nu == lam or nu not in ind_set(lam1) or mu not in ind_set(nu):
-        raise ValueError(f"{lam1} -> {lam},{nu} -> {mu} is not a square")
+@lru_cache(maxsize=None)
+def _square_decomposition(lam1, lam, nu, mu) -> tuple[Fraction, Fraction]:
+    # keyed by the normalised square, so both branches share one solve
     coeffs = solve_in_span(
         [_composite(lam1, lam, mu), _composite(lam1, nu, mu)],
         _swapped_composite(lam1, lam, mu),
     )
     if coeffs is None:
-        raise ValueError("swapped composite is not in the span of the square composites")
+        raise RuntimeError("swapped composite is not in the span of the square composites")
     return coeffs[0], coeffs[1]
+
+
+def square_coeffs(lam1, lam, nu, mu) -> tuple[Fraction, Fraction]:
+    """Decompose the swapped composite inclusion over the two sides of a square.
+
+    Returns (alpha, beta) with  s . (f through lam)  =  alpha * (f through lam)
+    + beta * (f through nu), solved exactly on the sparse composed maps: one
+    equation per nonzero entry, one row of s per tableau of lam1.  The solve
+    is cached per normalised square (lam1, lam, nu, mu), so the lam and the
+    nu branch of ``a_oracle`` share it; it uses no closed form and nothing
+    of the collapsed complex.  A composite outside the span is a broken
+    invariant and raises RuntimeError.
+    """
+    lam1, lam, mu = _validate_path(lam1, lam, mu)
+    nu = as_partition(nu)
+    if nu == lam or nu not in ind_set(lam1) or mu not in ind_set(nu):
+        raise ValueError(f"{lam1} -> {lam},{nu} -> {mu} is not a square")
+    return _square_decomposition(lam1, lam, nu, mu)
 
 
 def h_coeff(lam1, lam) -> Fraction:
@@ -341,8 +356,9 @@ def a_oracle(lam1, lam, mu, branch: str) -> Fraction:
 
     Composes the inclusions as index maps, acts by the sparse rows of the
     adjacent swap on the target module, decomposes the result exactly over
-    the composites (``square_coeffs`` in the square case), and rescales by
-    the h ratio.  The closed forms above are never consulted.
+    the composites (``square_coeffs`` in the square case, shared by the two
+    branches), and rescales by the h ratio.  The closed forms above are
+    never consulted.
     """
     lam1, lam, mu = _validate_path(lam1, lam, mu)
     b1, b2, two_dim = _classify(lam1, lam, mu)
@@ -353,11 +369,11 @@ def a_oracle(lam1, lam, mu, branch: str) -> Fraction:
     h_base = h_coeff(lam1, lam)
     if two_dim:
         nu = add_box(lam1, b2)
-        alpha, beta = square_coeffs(lam1, lam, nu, mu)
+        alpha, beta = _square_decomposition(lam1, lam, nu, mu)
         if branch == LAM_BRANCH:
             return alpha * h_coeff(lam, mu) / h_base
         return beta * h_coeff(nu, mu) / h_base
     coeffs = solve_in_span([_composite(lam1, lam, mu)], _swapped_composite(lam1, lam, mu))
     if coeffs is None:
-        raise ValueError("swapped composite is not proportional to the composite")
+        raise RuntimeError("swapped composite is not proportional to the composite")
     return coeffs[0] * h_coeff(lam, mu) / h_base

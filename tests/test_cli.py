@@ -128,6 +128,48 @@ def test_internal_failure_is_not_a_usage_error(monkeypatch):
         main(["coeff", "--lam1", "(1)", "--lam", "(2)", "--mu", "(2,1)"])
 
 
+def test_oracle_outside_the_span_is_not_a_usage_error(monkeypatch):
+    from bosonfermion import symgroup
+
+    monkeypatch.setattr(symgroup, "solve_in_span", lambda vectors, target: None)
+    symgroup._square_decomposition.cache_clear()
+    # a square and a domino path: the oracle's decomposition fails on both
+    for lam1, lam, mu in (("(1)", "(2)", "(2,1)"), ("()", "(1)", "(2)")):
+        with pytest.raises(RuntimeError, match="swapped composite"):
+            main(["coeff", "--lam1", lam1, "--lam", lam, "--mu", mu])
+
+
+def test_coeff_json_pinned(capsys):
+    golden = ["coeff", "--lam1", "(1)", "--lam", "(2)", "--mu", "(2,1)", "--json"]
+    code1, out1, _ = run(capsys, *golden)
+    code2, out2, _ = run(capsys, *golden)
+    assert code1 == code2 == 0 and out1 == out2
+    assert json.loads(out1) == {
+        "lam1": [1],
+        "lam": [2],
+        "mu": [2, 1],
+        "d": -2,
+        "h_lam_mu": "2",
+        "h_lam1_lam": "-1/2",
+        "branches": [
+            {"branch": "lam", "a": "2", "a_oracle": "2", "a_tilde": "2"},
+            {"branch": "nu", "a": "1", "a_oracle": "1", "a_tilde": "1"},
+        ],
+    }
+    domino = ["coeff", "--lam1", "(2)", "--lam", "(2,1)", "--mu", "(2,1,1)", "--json"]
+    code, out, _ = run(capsys, *domino)
+    assert code == 0
+    assert json.loads(out) == {
+        "lam1": [2],
+        "lam": [2, 1],
+        "mu": [2, 1, 1],
+        "d": -1,
+        "h_lam_mu": "3",
+        "h_lam1_lam": "2",
+        "branches": [{"branch": "lam", "a": "-3/2", "a_oracle": "-3/2", "a_tilde": "-3/2"}],
+    }
+
+
 def test_verify_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--suite", "resolutions", "--max-size", "3", "--json")
     code2, out2, _ = run(capsys, "verify", "--suite", "resolutions", "--max-size", "3", "--json")

@@ -18,8 +18,8 @@ from bosonfermion.correspondence import (
     verify_bf_hcl,
     wtq_tensor,
 )
-from bosonfermion.partitions import partitions_bounded, partitions_up_to, res_set
-from bosonfermion.ratmat import RationalMatrix
+from bosonfermion.partitions import added_box, dual, partitions_bounded, partitions_up_to, res_set
+from bosonfermion.ratmat import RationalMatrix, format_fraction
 from bosonfermion.suites import run_suite
 from bosonfermion.symgroup import LAM_BRANCH, NU_BRANCH
 
@@ -200,3 +200,47 @@ def test_row_twist_bridge():
     for n in range(4):
         for lam in partitions_bounded(n, 8):
             assert sn_bridge_holds(lam, n), (lam, n)
+
+
+def removal_paths(mu):
+    for lam in sorted(res_set(mu)):
+        for lam1 in sorted(res_set(lam)):
+            yield lam1, lam
+
+
+def test_verify_solves_each_system_once(monkeypatch):
+    from bosonfermion import symgroup
+
+    calls = {"span": 0, "dense": 0}
+    span, dense = symgroup.solve_in_span, RationalMatrix.solve
+
+    def counted_span(vectors, target):
+        calls["span"] += 1
+        return span(vectors, target)
+
+    def counted_dense(self, rhs):
+        calls["dense"] += 1
+        return dense(self, rhs)
+
+    monkeypatch.setattr(symgroup, "solve_in_span", counted_span)
+    monkeypatch.setattr(RationalMatrix, "solve", counted_dense)
+    for mu in partitions_up_to(7):
+        symgroup._square_decomposition.cache_clear()
+        calls.update(span=0, dense=0)
+        assert verify_bf_hcl(mu)["passed"], mu
+        # one oracle solve per removal path (square or domino), one
+        # elimination of C per (lam, mu) edge that has a path below it
+        assert calls["span"] == len(list(removal_paths(mu))), mu
+        assert calls["dense"] == sum(1 for lam in res_set(mu) if res_set(lam)), mu
+
+
+def test_tilde_a_is_one_corner_of_the_shared_solve():
+    for mu in partitions_up_to(7):
+        cases = verify_bf_hcl(mu)["cases"]
+        report = {(tuple(c["lam1"]), tuple(c["lam"]), c["branch"]): c for c in cases}
+        for lam1, lam in removal_paths(mu):
+            j0 = added_box(lam, mu)[1]
+            copies = max(len(dual(lam)), j0)
+            solved = tilde_a(lam1, lam, mu, LAM_BRANCH)
+            assert solved == g_vector(lam, lam1, copies)[j0 - 1], (lam1, lam, mu)
+            assert report[(lam1, lam, LAM_BRANCH)]["a_tilde"] == format_fraction(solved)

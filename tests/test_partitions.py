@@ -14,6 +14,7 @@ from bosonfermion.partitions import (
     ind_set,
     lambda_t,
     normalize,
+    part,
     partitions_up_to,
     remove_horizontal_strips,
     remove_vertical_strips,
@@ -225,6 +226,39 @@ def test_strip_enumeration_against_brute_force():
         for m in range(1, 4):
             assert set(add_horizontal_strips(p, m)) == brute_add_strips(p, m, True), (p, m)
             assert set(add_vertical_strips(p, m)) == brute_add_strips(p, m, False), (p, m)
+
+
+def horizontal_strip(outer, inner):
+    # model: outer/inner is a horizontal strip when the rows interlace,
+    # outer_1 >= inner_1 >= outer_2 >= inner_2 >= ...
+    rows = range(1, len(outer) + 2)
+    return all(part(outer, i) >= part(inner, i) >= part(outer, i + 1) for i in rows)
+
+
+def vertical_strip(outer, inner):
+    return horizontal_strip(dual(outer), dual(inner))
+
+
+def test_strip_generators_match_an_interlacing_model_in_order():
+    # pins the public output exactly: each strip once, as a normalised
+    # tuple, ascending for additions and descending for removals (by the
+    # conjugate for vertical strips)
+    for p in partitions_up_to(6):
+        n = sum(p)
+        for m in range(5):
+            grown = [q for q in partitions_up_to(n + m) if sum(q) == n + m]
+            shrunk = [q for q in partitions_up_to(n) if sum(q) == n - m]
+            cases = [
+                (add_horizontal_strips, [q for q in grown if horizontal_strip(q, p)], None, False),
+                (add_vertical_strips, [q for q in grown if vertical_strip(q, p)], dual, False),
+                (remove_horizontal_strips, [q for q in shrunk if horizontal_strip(p, q)], None, True),
+                (remove_vertical_strips, [q for q in shrunk if vertical_strip(p, q)], dual, True),
+            ]
+            for fn, model, key, reverse in cases:
+                out = list(fn(p, m))
+                where = (fn.__name__, p, m)
+                assert out == sorted(model, key=key, reverse=reverse), where
+                assert all(type(q) is tuple and as_partition(q) == q for q in out), where
 
 
 def test_strip_removal_is_adjoint_to_addition():

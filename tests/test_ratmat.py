@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from bosonfermion.ratmat import RationalMatrix, solve_in_span
+from bosonfermion.correspondence import matrix_c
+from bosonfermion.partitions import dual, partitions_up_to
+from bosonfermion.ratmat import RationalMatrix, SingularMatrixError, solve_in_span
 
 
 def test_solve_in_span_sparse_solution():
@@ -40,3 +42,26 @@ def test_matrix_keeps_fraction_entries_and_coerces_others():
     m = RationalMatrix([[half, 1]])
     assert m.data[0][0] is half
     assert type(m.data[0][1]) is Fraction and m.data[0][1] == 1
+
+
+def test_solve_several_right_hand_sides_equals_one_at_a_time():
+    for lam in partitions_up_to(6):
+        for k in range(max(len(dual(lam)), 1), len(dual(lam)) + 3):
+            c = matrix_c(lam, k)
+            # the unit vectors and one dense column, as a k x (k+1) matrix
+            rhs = RationalMatrix(
+                [[int(i == j) for j in range(k)] + [Fraction(i + 1, 3)] for i in range(k)]
+            )
+            x = c.solve(rhs)
+            assert x.rows == k and x.cols == k + 1
+            for j in range(k + 1):
+                assert x.column(j) == c.solve(rhs.column(j)), (lam, k, j)
+            assert c @ x == rhs, (lam, k)
+
+
+def test_solve_singular_matrix_raises():
+    singular = RationalMatrix([[1, 2], [2, 4]])
+    with pytest.raises(SingularMatrixError):
+        singular.solve([1, 0])
+    with pytest.raises(SingularMatrixError):
+        singular.solve(RationalMatrix([[1, 0], [0, 1]]))
