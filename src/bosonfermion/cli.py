@@ -22,6 +22,10 @@ from .schur import SchurVector, schur_basis
 from .suites import SUITES, run_suite
 
 USAGE_ERROR = 2
+# Largest |index| accepted by the Fock operators of ``act``: their work and
+# memory grow with the index (a tail removal materialises about index/2
+# entries, the truncated sums apply one word per index up to it).
+MAX_FOCK_INDEX = 1000
 
 
 class CliError(ValueError):
@@ -100,6 +104,8 @@ def run_act(args) -> int:
     m = _FOCK_OP.match(op)
     if m:
         name, idx = m.group(1), int(m.group(2))
+        if abs(idx) > MAX_FOCK_INDEX:
+            raise CliError(f"index {idx} of {name!r} exceeds the cap |index| <= {MAX_FOCK_INDEX}")
         v = FockVector.basis(parse_sequence(args.on))
         if name == "t":
             out = fock.apply_t(idx, v)

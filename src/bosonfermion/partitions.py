@@ -9,7 +9,9 @@ deviates from the tail is stored.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 
@@ -136,22 +138,29 @@ def lambda_t(lam: Partition, n: int, t: int) -> Partition:
 
 
 def partitions_of(n: int):
-    """Yield all partitions of n in descending lexicographic order."""
+    """Yield all partitions of n in descending lexicographic order.
+
+    The partitions of each n are enumerated once and cached as a tuple of
+    tuples, so repeated sweeps share them and no caller can change them.
+    """
     if n < 0:
         return
-    if n == 0:
-        yield ()
-        return
+    yield from _partitions_of(n)
 
-    def rec(remaining, cap):
+
+@lru_cache(maxsize=None)
+def _partitions_of(n: int) -> tuple[Partition, ...]:
+    out = []
+
+    def rec(remaining, cap, prefix):
         if remaining == 0:
-            yield ()
+            out.append(prefix)
             return
         for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
+            rec(remaining - first, first, prefix + (first,))
 
-    yield from rec(n, n)
+    rec(n, n, ())
+    return tuple(out)
 
 
 def partitions_up_to(max_size: int):
@@ -319,33 +328,35 @@ class ChargedSequence:
         """Insert x, returning (number of entries below x, new sequence).
 
         Returns None when x is already present.  The new sequence has charge
-        one lower.
+        one lower.  One bisection of the head finds x's place: every tail
+        entry lies above any value that can still be inserted.
         """
         if x % 2 != 0:
             raise ValueError(f"cannot insert odd value {x}")
-        if x in self:
+        head = self.head
+        n = bisect_left(head, x)
+        if x >= self.first_tail_value or (n < len(head) and head[n] == x):
             return None
-        n = self.count_below(x)
-        head = sorted(self.head + (x,))
-        return n, ChargedSequence.of(self.charge - 1, head)
+        return n, ChargedSequence.of(self.charge - 1, head[:n] + (x,) + head[n:])
 
     def remove(self, x: int) -> tuple[int, "ChargedSequence"] | None:
         """Remove x, returning (1-based position of x, new sequence).
 
         Returns None when x is absent.  The new sequence has charge one higher.
+        One bisection of the head finds x there; a tail value sits at its gap
+        index, and the tail entries below it become head entries.
         """
-        if x not in self:
+        if x % 2 != 0:
             return None
-        pos = self.count_below(x) + 1
-        if x in self.head:
-            head = [h for h in self.head if h != x]
-        else:
-            # x sits in the tail; materialize the gap
-            gap_index = (x - 2 * self.charge) // 2
-            head = list(self.head) + [
-                2 * i + 2 * self.charge for i in range(len(self.head) + 1, gap_index)
-            ]
-        return pos, ChargedSequence.of(self.charge + 1, head)
+        head = self.head
+        k = bisect_left(head, x)
+        if k < len(head) and head[k] == x:
+            return k + 1, ChargedSequence.of(self.charge + 1, head[:k] + head[k + 1:])
+        if x < self.first_tail_value:
+            return None
+        gap_index = (x - 2 * self.charge) // 2
+        gap = tuple(2 * i + 2 * self.charge for i in range(len(head) + 1, gap_index))
+        return gap_index, ChargedSequence.of(self.charge + 1, head + gap)
 
     def shift(self, steps: int) -> "ChargedSequence":
         """Add 2*steps to every entry; charge moves by steps."""

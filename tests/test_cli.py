@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bosonfermion.cli import main, parse_partition, parse_sequence
+from bosonfermion.cli import MAX_FOCK_INDEX, main, parse_partition, parse_sequence
 from bosonfermion.partitions import ChargedSequence
 
 
@@ -54,6 +54,19 @@ def test_act_json(capsys):
 def test_act_parse_error(capsys):
     code, _, err = run(capsys, "act", "--op", "q", "--on", "oops")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("op", ["t", "psi*", "gq"])
+def test_act_rejects_an_index_over_the_cap(capsys, op):
+    code, out, err = run(capsys, "act", "--op", f"{op}{MAX_FOCK_INDEX + 1}", "--on", "vac:0")
+    assert code == 2 and out == ""
+    assert f"|index| <= {MAX_FOCK_INDEX}" in err
+
+
+def test_act_accepts_the_cap(capsys):
+    for idx in (MAX_FOCK_INDEX, -MAX_FOCK_INDEX):
+        code, out, _ = run(capsys, "act", "--op", f"t{idx}", "--on", "vac:0", "--json")
+        assert code == 0 and "vector" in json.loads(out)
 
 
 def test_coeff_table(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bosonfermion import fock
 from bosonfermion.fock import (
     FockVector,
     apply_psi,
@@ -27,6 +28,7 @@ from bosonfermion.partitions import (
     to_sequence,
     union_columns,
 )
+from bosonfermion.suites import energy_basis, run_suite
 
 
 def basis(seq):
@@ -125,6 +127,28 @@ def test_clifford_relations_sweep():
             assert apply_word((i, i + 1), v) + apply_word((i + 1, i), v) == v
             for j in range(i + 2, 5):
                 assert (apply_word((i, j), v) + apply_word((j, i), v)).is_zero()
+
+
+def test_clifford_suite_case_count():
+    # 13 squares, 66 anticommutators and 12 adjacent pairs per basis vector
+    for size in range(5):
+        keys = [s for k in range(-2, 3) for s in energy_basis(size, k)]
+        result = run_suite("clifford", size)
+        assert result.passed and result.cases == 91 * len(keys)
+
+
+def test_clifford_suite_catches_a_wrong_generator(monkeypatch):
+    bad, original = 2, fock._t_key
+
+    def flipped(i, key):
+        pairs = original(i, key)
+        return [(-c, s) for c, s in pairs] if i == bad else pairs
+
+    monkeypatch.setattr(fock, "_t_key", flipped)
+    result = run_suite("clifford", 3)
+    assert not result.passed
+    for key in result.failures:
+        assert f"i={bad}" in key.split() or f"j={bad}" in key.split(), key
 
 
 # -- translation and partial sums ---------------------------------------------

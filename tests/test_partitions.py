@@ -15,6 +15,7 @@ from bosonfermion.partitions import (
     lambda_t,
     normalize,
     part,
+    partitions_of,
     partitions_up_to,
     remove_horizontal_strips,
     remove_vertical_strips,
@@ -163,6 +164,66 @@ def test_insert_remove_inverse():
     assert n == 1 and 0 in bigger and bigger.charge == -1
     pos, back = bigger.remove(0)
     assert pos == 2 and back == s
+
+
+def test_remove_from_the_tail_materialises_the_gap():
+    s = to_sequence((2, 1))  # (-2, 2, 6, 8, 10, 12, ...), tail from 6
+    assert s.head == (-2, 2) and s.first_tail_value == 6
+    pos, seq = s.remove(6)  # the first tail value
+    assert pos == 3 and seq == ChargedSequence(1, (-2, 2))
+    pos, seq = s.remove(12)  # three steps into the tail
+    assert pos == 6 and seq == ChargedSequence(1, (-2, 2, 6, 8, 10))
+    assert seq.prefix(6) == (-2, 2, 6, 8, 10, 14)
+
+
+def test_insert_just_below_the_tail_trims_the_head():
+    s = to_sequence((2, 1))
+    n, seq = s.insert(4)  # fills the hole below the first tail value
+    assert n == 2 and seq == ChargedSequence(-1, (-2,))
+    assert seq.prefix(4) == (-2, 2, 4, 6)
+    n, seq = ChargedSequence.vacuum(0).insert(0)
+    assert n == 0 and seq == ChargedSequence.vacuum(-1)
+
+
+def test_insert_present_value_and_remove_absent_value():
+    s = to_sequence((2, 1))
+    for x in (-2, 2, 6, 8, 100):  # head, first tail value, deep in the tail
+        assert s.insert(x) is None
+    for x in (-4, 0, 4):
+        assert s.remove(x) is None
+
+
+def test_odd_values():
+    s = to_sequence((2, 1))
+    for x in (-3, 1, 3, 7, 101):
+        with pytest.raises(ValueError):
+            s.insert(x)
+        assert s.remove(x) is None
+
+
+# -- partitions_of ---------------------------------------------------------
+
+def reference_partitions(n, cap=None):
+    # plain recursion, largest first part first
+    cap = n if cap is None else cap
+    if n == 0:
+        return [()]
+    return [
+        (first,) + rest
+        for first in range(min(n, cap), 0, -1)
+        for rest in reference_partitions(n - first, first)
+    ]
+
+
+def test_partitions_of_against_reference():
+    counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    for n in range(13):
+        first = list(partitions_of(n))
+        assert first == reference_partitions(n)
+        assert len(first) == counts[n]
+        assert all(isinstance(p, tuple) for p in first)
+        assert list(partitions_of(n)) == first
+    assert list(partitions_of(-1)) == []
 
 
 # -- normalize --------------------------------------------------------------
