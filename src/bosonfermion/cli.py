@@ -16,6 +16,7 @@ from .partitions import (
     as_partition,
     content,
     res_set,
+    share_row_or_column,
 )
 from .ratmat import format_fraction
 from .schur import SchurVector, schur_basis
@@ -26,6 +27,9 @@ USAGE_ERROR = 2
 # memory grow with the index (a tail removal materialises about index/2
 # entries, the truncated sums apply one word per index up to it).
 MAX_FOCK_INDEX = 1000
+# Largest |charge| of an ``act --on`` sequence, for the same reason: a tail
+# removal from a charge-k sequence materialises about |k| head entries.
+MAX_FOCK_CHARGE = 1000
 
 
 class CliError(ValueError):
@@ -49,20 +53,24 @@ def parse_sequence(text: str) -> ChargedSequence:
     body = text.strip()
     if body.startswith("vac:"):
         try:
-            return ChargedSequence.vacuum(int(body[4:]))
+            seq = ChargedSequence.vacuum(int(body[4:]))
         except ValueError as exc:
             raise CliError(f"bad vacuum charge in {text!r}") from exc
-    if body.startswith("seq:"):
+    elif body.startswith("seq:"):
         parts = body.split(":")
         if len(parts) != 3:
             raise CliError(f"expected seq:<charge>:<entries> in {text!r}")
         try:
             charge = int(parts[1])
             entries = [int(x) for x in parts[2].split(",")] if parts[2] else []
-            return ChargedSequence.of(charge, entries)
+            seq = ChargedSequence.of(charge, entries)
         except ValueError as exc:
             raise CliError(f"bad sequence {text!r}: {exc}") from exc
-    raise CliError(f"cannot parse sequence {text!r}; expected vac:<k> or seq:<k>:<entries>")
+    else:
+        raise CliError(f"cannot parse sequence {text!r}; expected vac:<k> or seq:<k>:<entries>")
+    if abs(seq.charge) > MAX_FOCK_CHARGE:
+        raise CliError(f"charge {seq.charge} in {text!r} exceeds the cap |charge| <= {MAX_FOCK_CHARGE}")
+    return seq
 
 
 def partition_text(p) -> str:
@@ -135,7 +143,7 @@ def run_coeff(args) -> int:
     if lam1 not in res_set(lam) or lam not in res_set(mu):
         raise CliError(f"{lam1} -> {lam} -> {mu} is not a removal path")
     b1, b2 = added_box(lam1, lam), added_box(lam, mu)
-    two_dim = b1[0] != b2[0] and b1[1] != b2[1]
+    two_dim = not share_row_or_column(b1, b2)
     d = content(b2) - content(b1)
     rows = []
     branches = [symgroup.LAM_BRANCH] + ([symgroup.NU_BRANCH] if two_dim else [])
@@ -157,6 +165,8 @@ def run_coeff(args) -> int:
         "h_lam1_lam": format_fraction(symgroup.h_coeff(lam1, lam)),
         "branches": rows,
     }
+    # format_fraction is canonical, so equal strings are equal values
+    agree = all(row["a"] == row["a_oracle"] == row["a_tilde"] for row in rows)
     if args.json:
         print(json.dumps(payload))
     else:
@@ -167,7 +177,7 @@ def run_coeff(args) -> int:
                 f"branch {row['branch']:>3}:  a = {row['a']:>8}  oracle = {row['a_oracle']:>8}"
                 f"  solved = {row['a_tilde']:>8}"
             )
-    return 0
+    return 0 if agree else 1
 
 
 def run_complex(args) -> int:

@@ -24,6 +24,7 @@ from .partitions import (
     dual,
     part,
     res_set,
+    share_row_or_column,
     to_sequence,
 )
 from .ratmat import RationalMatrix, format_fraction
@@ -304,7 +305,7 @@ def tilde_a(lam1, lam, mu, branch: str) -> Fraction:
     b1 = added_box(lam1, lam)
     b2 = added_box(lam, mu)
     if branch == NU_BRANCH:
-        if b1[0] == b2[0] or b1[1] == b2[1]:
+        if share_row_or_column(b1, b2):
             raise ValueError("no second branch: the added boxes form a domino")
         return Fraction(1)
     if branch != LAM_BRANCH:
@@ -330,7 +331,7 @@ def verify_bf_hcl(mu) -> dict:
         for lam1, solved_lam in zip(corners, _lam_branch_solved(lam, mu, corners)):
             b1 = added_box(lam1, lam)
             branches = [LAM_BRANCH]
-            if b1[0] != b2[0] and b1[1] != b2[1]:
+            if not share_row_or_column(b1, b2):
                 branches.append(NU_BRANCH)
             for branch in branches:
                 a = a_coeff(lam1, lam, mu, branch)

@@ -109,6 +109,15 @@ def added_box(smaller: Partition, larger: Partition) -> Box:
     raise AssertionError("unreachable")
 
 
+def share_row_or_column(b1: Box, b2: Box) -> bool:
+    """True when two boxes lie in one row or one column.
+
+    Two boxes added one after the other then form a domino, with one branch
+    of coefficients; otherwise they span a square, with two.
+    """
+    return b1[0] == b2[0] or b1[1] == b2[1]
+
+
 def union_columns(p: Partition, n: int) -> Partition:
     """Add one box to each of the first n rows (missing rows count as empty)."""
     if n < 0:
@@ -177,86 +186,68 @@ def partitions_bounded(max_rows: int, max_size: int):
 
 
 # ---------------------------------------------------------------------------
-# strips
+# interlacing and strips
 
-def _trim_zeros(raw: tuple[int, ...]) -> Partition:
-    # the strip recursions build weakly decreasing tuples of ints by
-    # construction; only trailing empty rows remain to drop, and a
-    # SchurVector validates each key it is given
-    end = len(raw)
-    while end and not raw[end - 1]:
-        end -= 1
-    return raw[:end]
+def interlacing(p: Partition, above: bool = False, total: int | None = None) -> list[Partition]:
+    """The partitions q that interlace p, in ascending order.
+
+    Below p (the default) row i of q ranges over p_{i+1} <= q_i <= p_i, so
+    p/q is a horizontal strip; above p it ranges over p_i <= q_i <= p_{i-1},
+    so q/p is one, and the first row is bounded by ``total`` alone, which is
+    then required.  With ``total`` only the q of that size are listed.  The
+    rows are chosen independently, so partial sums are pruned exactly, and
+    ascending padded rows are ascending trimmed tuples: nothing is sorted.
+    A zero row is followed by zero rows only, so it is never appended.
+    """
+    if above:
+        if total is None:
+            raise ValueError("the partitions above p need a total size")
+        lows, highs = p + (0,), (total,) + p
+    else:
+        lows, highs = (p + (0,))[1:], p
+    rows = len(lows)
+    if total is not None and not sum(lows) <= total <= sum(highs):
+        return []
+    lo_tail = [sum(lows[i + 1:]) for i in range(rows)]
+    hi_tail = [sum(highs[i + 1:]) for i in range(rows)]
+    out = []
+
+    def rec(i, left, prefix):
+        if i == rows:
+            out.append(prefix)
+            return
+        lo, hi = lows[i], highs[i]
+        if total is not None:
+            lo, hi = max(lo, left - hi_tail[i]), min(hi, left - lo_tail[i])
+        for val in range(lo, hi + 1):
+            rec(i + 1, left - val, prefix + (val,) if val else prefix)
+
+    rec(0, total or 0, ())
+    return out
 
 
-def add_horizontal_strips(p: Partition, m: int):
-    """All partitions obtained from p by adding m boxes, no two in one column."""
+def add_horizontal_strips(p: Partition, m: int) -> list[Partition]:
+    """All partitions obtained from p by adding m boxes, no two in one column, ascending."""
     if m < 0:
         raise ValueError("strip size must be nonnegative")
-    if m == 0:
-        yield p
-        return
-    rows = len(p) + 1
-    # row i may grow at most up to the original length of row i-1
-    lows = [part(p, i) for i in range(1, rows + 1)]
-    caps = [None] + [part(p, i) for i in range(1, rows)]
-
-    def rec(i, remaining):
-        if i > rows:
-            if remaining == 0:
-                yield ()
-            return
-        low = lows[i - 1]
-        hi = remaining + low if caps[i - 1] is None else min(caps[i - 1], remaining + low)
-        for val in range(low, hi + 1):
-            for rest in rec(i + 1, remaining - (val - low)):
-                yield (val,) + rest
-
-    for raw in rec(1, m):
-        yield _trim_zeros(raw)
+    return interlacing(p, above=True, total=size(p) + m)
 
 
-def add_vertical_strips(p: Partition, m: int):
+def add_vertical_strips(p: Partition, m: int) -> list[Partition]:
     """All partitions obtained from p by adding m boxes, no two in one row."""
-    seen = set()
-    for q in add_horizontal_strips(dual(p), m):
-        d = dual(q)
-        if d not in seen:
-            seen.add(d)
-            yield d
+    return [dual(q) for q in add_horizontal_strips(dual(p), m)]
 
 
-def remove_horizontal_strips(p: Partition, m: int):
-    """All partitions obtained from p by removing m boxes, no two in one column."""
+def remove_horizontal_strips(p: Partition, m: int) -> list[Partition]:
+    """All partitions obtained from p by removing m boxes, no two in one column, descending."""
     if m < 0:
         raise ValueError("strip size must be nonnegative")
-    if m == 0:
-        yield p
-        return
-    n = len(p)
-    # row i may shrink down to the row below it
-    def rec(i, remaining):
-        if i > n:
-            if remaining == 0:
-                yield ()
-            return
-        low = max(part(p, i + 1), p[i - 1] - remaining)
-        for val in range(p[i - 1], low - 1, -1):
-            for rest in rec(i + 1, remaining - (p[i - 1] - val)):
-                yield (val,) + rest
-
-    for raw in rec(1, m):
-        yield _trim_zeros(raw)
+    return interlacing(p, total=size(p) - m)[::-1]
 
 
-def remove_vertical_strips(p: Partition, m: int):
+def remove_vertical_strips(p: Partition, m: int) -> list[Partition]:
     """All partitions obtained from p by removing m boxes, no two in one row."""
-    seen = set()
-    for q in remove_horizontal_strips(dual(p), m):
-        d = dual(q)
-        if d not in seen:
-            seen.add(d)
-            yield d
+    return [dual(q) for q in remove_horizontal_strips(dual(p), m)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 A basis element joins a source partition to a target partition whenever the
 two interlace (equivalently, their skew diagram is a horizontal strip); the
 product of two basis elements is the joined element when the middle labels
-match and the outer pair still interlaces, and zero otherwise.  Truncations
-bound the number of rows, of columns, or of rows and total size at once.
+match and the outer pair still interlaces, and zero otherwise.  The sources
+of a projective, and of the twisted module, are read off the one interlacing
+enumerator :func:`bosonfermion.partitions.interlacing` that also lists the
+Schur strips.  Truncations bound the number of rows, of columns, or of rows
+and total size at once.
 The module also builds the finite projective resolutions used by the
 Serre-twist computations and checks them by exact rank computations and
 graded Euler characteristics.
@@ -20,6 +23,7 @@ from .partitions import (
     Partition,
     as_partition,
     dual,
+    interlacing,
     lambda_t,
     part,
     partitions_bounded,
@@ -29,18 +33,22 @@ from .partitions import (
 from .ratmat import RationalMatrix
 
 
-def exists_hom(lam, mu) -> bool:
-    """True when mu_i >= lam_i >= mu_{i+1} for all i."""
-    lam, mu = as_partition(lam), as_partition(mu)
-    for i in range(1, max(len(lam), len(mu)) + 1):
-        if not part(mu, i) >= part(lam, i) >= part(mu, i + 1):
-            return False
-    return True
+def exists_hom(lam: Partition, mu: Partition) -> bool:
+    """True when mu_i >= lam_i >= mu_{i+1} for all i.
+
+    Both arguments must already be normalised partitions (no trailing zeros,
+    as :func:`as_partition` returns them); callers holding raw input normalise
+    it once at their boundary, as :func:`arrow` does.  The rows then compare
+    directly: lam has len(mu) or len(mu) - 1 rows, each between two of mu.
+    """
+    return len(mu) - 1 <= len(lam) <= len(mu) and all(
+        a >= b >= c for a, b, c in zip(mu, lam, mu[1:] + (0,))
+    )
 
 
 @dataclass(frozen=True, order=True)
 class ArrowElement:
-    """Basis element (source || target); valid only when the pair interlaces."""
+    """Basis element (source || target) of two normalised partitions that interlace."""
 
     source: Partition
     target: Partition
@@ -122,20 +130,7 @@ def projective_basis(lam, tr: Truncation) -> list[ArrowElement]:
     lam = as_partition(lam)
     if not tr.admits(lam):
         raise ValueError(f"{lam} is not admitted by {tr}")
-    rows = len(lam)
-    out = []
-
-    def rec(i, chosen):
-        if i > rows:
-            eta = as_partition(chosen)
-            if tr.admits(eta):
-                out.append(ArrowElement(eta, lam))
-            return
-        for val in range(part(lam, i + 1), lam[i - 1] + 1):
-            rec(i + 1, chosen + [val])
-
-    rec(1, [])
-    return sorted(out)
+    return [ArrowElement(eta, lam) for eta in interlacing(lam) if tr.admits(eta)]
 
 
 def q_module_basis(lam, n: int, m: int) -> list[ArrowElement]:
@@ -147,11 +142,8 @@ def q_module_basis(lam, n: int, m: int) -> list[ArrowElement]:
     lifted = union_columns(lam, n)
     if not tr.admits(lifted):
         raise ValueError(f"{lifted} leaves the rows<={n}, size<={m} truncation")
-    out = []
-    for eta in partitions_bounded(n, m):
-        if exists_hom(eta, lam):
-            out.append(ArrowElement(union_columns(eta, n), lifted))
-    return sorted(out)
+    # every eta below lam has no more rows and no more boxes, so it is admitted
+    return [ArrowElement(union_columns(eta, n), lifted) for eta in interlacing(lam)]
 
 
 # ---------------------------------------------------------------------------
@@ -360,24 +352,17 @@ def graded_euler_check(res: Resolution, target, tr: Truncation) -> bool:
     return True
 
 
-def _boundary_matrix(res: Resolution, t: int, tr: Truncation,
-                     bases: dict[int, list]) -> RationalMatrix:
+def _boundary_matrix(res: Resolution, t: int, bases: dict[int, list]) -> RationalMatrix:
     src_basis = bases[t]
     dst_basis = bases[t - 1]
     dst_index = {elem: i for i, elem in enumerate(dst_basis)}
     data = [[Fraction(0)] * len(src_basis) for _ in range(len(dst_basis))]
-    src_offsets = {}
-    offset = 0
-    for pos, label in enumerate(res.labels_at(t)):
-        src_offsets[pos] = offset
-        offset += len(projective_basis(label, tr))
     for (src_pos, dst_pos, gen, sign) in res.boundaries.get(t, ()):
-        block = projective_basis(res.labels_at(t)[src_pos], tr)
-        for local, elem in enumerate(block):
-            image = multiply(elem, gen)
-            for img_arrow, coeff in image.items():
-                row = dst_index[(dst_pos, img_arrow)]
-                data[row][src_offsets[src_pos] + local] += sign * coeff
+        for col, (pos, elem) in enumerate(src_basis):
+            if pos != src_pos:
+                continue
+            for img_arrow, coeff in multiply(elem, gen).items():
+                data[dst_index[(dst_pos, img_arrow)]][col] += sign * coeff
     return RationalMatrix(data)
 
 
@@ -404,7 +389,7 @@ def rank_exactness(res: Resolution, tr: Truncation) -> bool:
         raise ValueError("resolution carries no boundary maps")
     bases = _bases(res, tr)
     top = res.top_degree
-    mats = {t: _boundary_matrix(res, t, tr, bases) for t in range(1, top + 1)}
+    mats = {t: _boundary_matrix(res, t, bases) for t in range(1, top + 1)}
     for t in range(1, top):
         product = mats[t] @ mats[t + 1]
         if any(any(x for x in row) for row in product.data):
@@ -421,7 +406,7 @@ def cokernel_dim(res: Resolution, tr: Truncation) -> int:
     if res.boundaries is None:
         raise ValueError("resolution carries no boundary maps")
     bases = _bases(res, tr)
-    return len(bases[0]) - _boundary_matrix(res, 1, tr, bases).rank()
+    return len(bases[0]) - _boundary_matrix(res, 1, bases).rank()
 
 
 def serre_bar_k0(lam, n: int) -> Partition:
@@ -439,7 +424,7 @@ def q_module_dims(lam, n: int, m: int):
 
 def df_tensor_dims(mu, n: int):
     mu = as_partition(mu)
-    return lambda eta: 1 if len(as_partition(eta)) <= n and exists_hom(mu, eta) else 0
+    return lambda eta: 1 if len(eta := as_partition(eta)) <= n and exists_hom(mu, eta) else 0
 
 
 def simple_dims(lam):

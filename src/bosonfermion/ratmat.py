@@ -43,10 +43,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
     def at(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
 
@@ -83,15 +79,9 @@ class RationalMatrix:
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)]
         )
 
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + (-1) * other
-
     def __rmul__(self, scalar) -> "RationalMatrix":
         c = Fraction(scalar)
         return RationalMatrix([[c * x for x in row] for row in self.data])
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def det(self) -> Fraction:
         """Determinant by Bareiss fraction-free elimination (divisions exact)."""

@@ -30,6 +30,7 @@ from .partitions import (
     ind_set,
     removable_corners,
     remove_box,
+    share_row_or_column,
 )
 from .ratmat import RationalMatrix, solve_in_span
 
@@ -295,7 +296,7 @@ def h_coeff(lam1, lam) -> Fraction:
 def _classify(lam1, lam, mu):
     b1 = added_box(lam1, lam)
     b2 = added_box(lam, mu)
-    two_dim = b1[0] != b2[0] and b1[1] != b2[1]
+    two_dim = not share_row_or_column(b1, b2)
     return b1, b2, two_dim
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from bosonfermion.cli import MAX_FOCK_INDEX, main, parse_partition, parse_sequence
+from bosonfermion import symgroup
+from bosonfermion.cli import MAX_FOCK_CHARGE, MAX_FOCK_INDEX, main, parse_partition, parse_sequence
 from bosonfermion.partitions import ChargedSequence
 
 
@@ -67,6 +68,37 @@ def test_act_accepts_the_cap(capsys):
     for idx in (MAX_FOCK_INDEX, -MAX_FOCK_INDEX):
         code, out, _ = run(capsys, "act", "--op", f"t{idx}", "--on", "vac:0", "--json")
         assert code == 0 and "vector" in json.loads(out)
+
+
+@pytest.mark.parametrize("on", ["vac:{k}", "seq:{k}:"])
+def test_act_charge_cap(capsys, on):
+    for k in (MAX_FOCK_CHARGE, -MAX_FOCK_CHARGE):
+        code, out, _ = run(capsys, "act", "--op", "t1", "--on", on.format(k=k), "--json")
+        assert code == 0 and "vector" in json.loads(out), k
+    for k in (MAX_FOCK_CHARGE + 1, -MAX_FOCK_CHARGE - 1):
+        code, out, err = run(capsys, "act", "--op", "t1", "--on", on.format(k=k))
+        assert code == 2 and out == "", k
+        assert f"|charge| <= {MAX_FOCK_CHARGE}" in err
+
+
+_STRIP_ACT_PINNED = {
+    ("p_row2", "(3,1)"): [[3, 2, 1], [3, 3], [4, 1, 1], [4, 2], [5, 1]],
+    ("p_row2", "(2,2,1)"): [[2, 2, 2, 1], [3, 2, 1, 1], [3, 2, 2], [4, 2, 1]],
+    ("p_col2", "(3,1)"): [[3, 1, 1, 1], [3, 2, 1], [4, 1, 1], [4, 2]],
+    ("p_col2", "(2,2,1)"): [[2, 2, 1, 1, 1], [2, 2, 2, 1], [3, 2, 1, 1], [3, 2, 2], [3, 3, 1]],
+    ("q_row2", "(3,1)"): [[1, 1], [2]],
+    ("q_row2", "(2,2,1)"): [[2, 1]],
+    ("q_col2", "(3,1)"): [[2]],
+    ("q_col2", "(2,2,1)"): [[1, 1, 1], [2, 1]],
+}
+
+
+@pytest.mark.parametrize("op, on", sorted(_STRIP_ACT_PINNED))
+def test_strip_act_json_pinned(capsys, op, on):
+    code, out, _ = run(capsys, "act", "--op", op, "--on", on, "--json")
+    assert code == 0
+    vector = [{"partition": p, "coefficient": "1"} for p in _STRIP_ACT_PINNED[op, on]]
+    assert out == json.dumps({"op": op, "vector": vector}) + "\n"
 
 
 def test_coeff_table(capsys):
@@ -181,6 +213,18 @@ def test_coeff_json_pinned(capsys):
         "h_lam1_lam": "2",
         "branches": [{"branch": "lam", "a": "-3/2", "a_oracle": "-3/2", "a_tilde": "-3/2"}],
     }
+
+
+def test_coeff_exits_one_when_the_routes_disagree(capsys, monkeypatch):
+    closed = symgroup.a_coeff
+    monkeypatch.setattr(symgroup, "a_coeff", lambda *args: closed(*args) + 1)
+    path = ["coeff", "--lam1", "(1)", "--lam", "(2)", "--mu", "(2,1)"]
+    code, out, _ = run(capsys, *path, "--json")
+    assert code == 1
+    branches = json.loads(out)["branches"]
+    assert [(b["a"], b["a_oracle"], b["a_tilde"]) for b in branches] == [("3", "2", "2"), ("2", "1", "1")]
+    code, out, _ = run(capsys, *path)
+    assert code == 1 and "a =        3  oracle =        2" in out
 
 
 def test_verify_json_deterministic(capsys):

@@ -110,6 +110,21 @@ def test_q_module_basis_examples():
         q_module_basis((3,), 1, 2)
 
 
+def test_q_module_basis_matches_the_bounded_scan():
+    # model: scan the whole truncation for the partitions below lam
+    for n in range(4):
+        for m in range(9):
+            for lam in partitions_bounded(n, m):
+                if sum(union_columns(lam, n)) > m:
+                    continue
+                want = sorted(
+                    ArrowElement(union_columns(eta, n), union_columns(lam, n))
+                    for eta in partitions_bounded(n, m)
+                    if exists_hom(eta, lam)
+                )
+                assert q_module_basis(lam, n, m) == want, (lam, n, m)
+
+
 def test_resolution_q_shape():
     r = resolution_q((1,), 2)
     assert [labels for _, labels in r.terms] == [(((2, 1),)), (((2,),)), (((),))]
