@@ -253,7 +253,12 @@ def run_det(args) -> int:
 def run_verify(args) -> int:
     if args.max_size is not None and args.max_size < 0:
         raise CliError(f"--max-size must be non-negative, got {args.max_size}")
-    result = run_suite(args.suite, args.max_size)
+    try:
+        result = run_suite(args.suite, args.max_size)
+    except ValueError as exc:
+        # the arguments were checked above, so this is a broken invariant, not bad input
+        print(f"error: suite {args.suite} aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(result.to_json()))
     else:

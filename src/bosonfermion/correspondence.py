@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from . import symgroup
 from .partitions import (
     Partition,
     added_box,
@@ -28,7 +29,7 @@ from .partitions import (
     to_sequence,
 )
 from .ratmat import RationalMatrix, format_fraction
-from .symgroup import LAM_BRANCH, NU_BRANCH, a_coeff, a_oracle
+from .symgroup import LAM_BRANCH, NU_BRANCH
 
 
 def inv_factorial(s: int) -> Fraction:
@@ -334,8 +335,8 @@ def verify_bf_hcl(mu) -> dict:
             if not share_row_or_column(b1, b2):
                 branches.append(NU_BRANCH)
             for branch in branches:
-                a = a_coeff(lam1, lam, mu, branch)
-                oracle = a_oracle(lam1, lam, mu, branch)
+                a = symgroup.a_coeff(lam1, lam, mu, branch)
+                oracle = symgroup.a_oracle(lam1, lam, mu, branch)
                 solved = solved_lam if branch == LAM_BRANCH else tilde_a(lam1, lam, mu, branch)
                 cases.append(
                     {

@@ -45,9 +45,8 @@ def size(p: Partition) -> int:
 
 def dual(p: Partition) -> Partition:
     """Conjugate partition (transpose of the diagram)."""
-    if not p:
-        return ()
-    return tuple(sum(1 for row in p if row >= j) for j in range(1, p[0] + 1))
+    # the columns p_{i+1} + 1 .. p_i have exactly i boxes
+    return tuple(i for i in range(len(p), 0, -1) for _ in range(p[i - 1] - part(p, i + 1)))
 
 
 def contains(outer: Partition, inner: Partition) -> bool:

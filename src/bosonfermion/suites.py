@@ -190,19 +190,19 @@ def suite_serre(max_size: int) -> SuiteResult:
         for lam in partitions_bounded(n, min(max_size, 8)):
             result.check(f"row twist n={n} lam={lam}", co.sn_bridge_holds(lam, n))
     for n in range(1, 5):
-        cap = min(max_size, 8)
-        for lam in partitions_bounded(n, cap):
+        duals = {lam: dual(lam) for lam in partitions_bounded(n, min(max_size, 8))}
+        for lam, lam_t in duals.items():
             target = quiver.serre_bar_k0(lam, n)
-            for mu in partitions_bounded(n, cap):
-                lhs = quiver.exists_hom(dual(lam), dual(mu))
-                rhs = quiver.exists_hom(dual(mu), target)
+            for mu, mu_t in duals.items():
+                lhs = quiver.exists_hom(lam_t, mu_t)
+                rhs = quiver.exists_hom(mu_t, target)
                 result.check(f"pairing n={n} lam={lam} mu={mu}", lhs == rhs)
                 if lhs:
                     prod = quiver.multiply(
-                        quiver.ArrowElement(dual(lam), dual(mu)),
-                        quiver.ArrowElement(dual(mu), target),
+                        quiver.ArrowElement(lam_t, mu_t),
+                        quiver.ArrowElement(mu_t, target),
                     )
-                    expected = quiver.FElement.basis(quiver.ArrowElement(dual(lam), target))
+                    expected = quiver.FElement.basis(quiver.ArrowElement(lam_t, target))
                     result.check(f"factor n={n} lam={lam} mu={mu}", prod == expected)
     return result
 

@@ -1,9 +1,11 @@
 """Symmetric group irreducibles in the rescaled content eigenbasis.
 
 Basis vectors are indexed by standard tableaux, simultaneous eigenvectors of
-the Jucys-Murphy elements.  Each adjacent transposition acts through the
-content difference d of the swapped entries: diagonally by 1/d when the swap
-is not standard, and otherwise by
+the Jucys-Murphy elements.  A tableau is stored as its content vector
+(c_1, ..., c_n), the eigenvalues it determines; extending by a box appends
+that box's content and the swap s_i exchanges c_i and c_{i+1}.  Each adjacent
+transposition acts through the content difference d = c_{i+1} - c_i:
+diagonally by 1/d when the swap is not standard (|d| = 1), and otherwise by
 
     s . v_T  =  (1/d) v_T + ((d-1)/d) v_{T'},      T' = swapped tableau,
 
@@ -40,82 +42,71 @@ NU_BRANCH = "nu"
 
 @dataclass(frozen=True)
 class StandardTableau:
-    shape: Partition
-    rows: tuple[tuple[int, ...], ...]
+    """A standard tableau stored as its content vector.
 
-    def position(self, value: int) -> tuple[int, int]:
-        for r, row in enumerate(self.rows, start=1):
-            for c, entry in enumerate(row, start=1):
-                if entry == value:
-                    return (r, c)
-        raise KeyError(value)
+    ``contents[v - 1]`` is the content of the box holding v; the vector
+    determines the tableau (Okounkov-Vershik).
+    """
+
+    shape: Partition
+    contents: tuple[int, ...]
 
     def content_vector(self) -> tuple[int, ...]:
-        n = sum(self.shape)
-        pos = {}
-        for r, row in enumerate(self.rows, start=1):
-            for c, entry in enumerate(row, start=1):
-                pos[entry] = c - r
-        return tuple(pos[v] for v in range(1, n + 1))
+        return self.contents
 
-    def with_entry(self, box: tuple[int, int], value: int, shape: Partition) -> "StandardTableau":
-        """The tableau with ``value`` put in ``box``; ``shape`` is the extended shape.
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Entries row by row: v goes in the addable box of content c_v."""
+        rows: list[list[int]] = [[] for _ in self.shape]
+        for v, c in enumerate(self.contents):
+            # the addable box of content c is the next box down diagonal c
+            rows[self.contents[:v].count(c) + max(-c, 0)].append(v + 1)
+        return tuple(tuple(row) for row in rows)
 
-        Callers extend many tableaux by the same box, so they compute and
-        validate the extended shape once and pass it in.
-        """
-        r = box[0]
-        rows = [list(row) for row in self.rows]
-        if r - 1 < len(rows):
-            rows[r - 1].append(value)
-        else:
-            rows.append([value])
-        return StandardTableau(shape, tuple(tuple(row) for row in rows))
 
-    def swap(self, i: int) -> "StandardTableau":
-        rows = tuple(
-            tuple(i + 1 if e == i else i if e == i + 1 else e for e in row) for row in self.rows
-        )
-        return StandardTableau(self.shape, rows)
+@lru_cache(maxsize=None)
+def _contents(shape: Partition) -> tuple[tuple[int, ...], ...]:
+    """Content vectors of the standard tableaux of the shape, largest first."""
+    if not shape:
+        return ((),)
+    out = [
+        cv + (content(corner),)
+        for corner in removable_corners(shape)
+        for cv in _contents(remove_box(shape, corner))
+    ]
+    return tuple(sorted(out, reverse=True))
 
 
 @lru_cache(maxsize=None)
 def tableaux(shape: Partition) -> tuple[StandardTableau, ...]:
     """All standard tableaux of the shape, largest content vector first."""
     shape = as_partition(shape)
-    if not shape:
-        return (StandardTableau((), ()),)
-    n = sum(shape)
-    out = []
-    for corner in removable_corners(shape):
-        for t in tableaux(remove_box(shape, corner)):
-            out.append(t.with_entry(corner, n, shape))
-    return tuple(sorted(out, key=lambda t: t.content_vector(), reverse=True))
+    return tuple(StandardTableau(shape, cv) for cv in _contents(shape))
 
 
 def row_filling(shape: Partition) -> StandardTableau:
     """The tableau filled 1..n left to right along consecutive rows."""
     shape = as_partition(shape)
-    rows = []
-    next_entry = 1
-    for length in shape:
-        rows.append(tuple(range(next_entry, next_entry + length)))
-        next_entry += length
-    return StandardTableau(shape, tuple(rows))
+    contents = tuple(c - r for r, length in enumerate(shape, start=1) for c in range(1, length + 1))
+    return StandardTableau(shape, contents)
 
 
 @lru_cache(maxsize=None)
-def _index_of(shape: Partition) -> dict[StandardTableau, int]:
-    return {t: i for i, t in enumerate(tableaux(shape))}
+def _index_of(shape: Partition) -> dict[tuple[int, ...], int]:
+    return {cv: i for i, cv in enumerate(_contents(shape))}
 
 
 @lru_cache(maxsize=None)
 def _extension(lam: Partition, mu: Partition) -> tuple[int, ...]:
     """For each tableau of lam, the index of its extension among the tableaux of mu."""
-    box = added_box(lam, mu)
-    n = sum(mu)
+    c = content(added_box(lam, mu))
     index = _index_of(mu)
-    return tuple(index[t.with_entry(box, n, mu)] for t in tableaux(lam))
+    return tuple(index[cv + (c,)] for cv in _contents(lam))
+
+
+def _swapped(cv: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The content vector with entries i and i+1 exchanged."""
+    return cv[: i - 1] + (cv[i], cv[i - 1]) + cv[i + 1 :]
 
 
 def _dense(rows, cols: int) -> RationalMatrix:
@@ -127,62 +118,61 @@ def _dense(rows, cols: int) -> RationalMatrix:
     return RationalMatrix(out)
 
 
-def _length(t: StandardTableau) -> int:
-    # Coxeter length of the permutation carrying the row-major filling to t
-    base = row_filling(t.shape)
-    boxes = [(r, c) for r, row in enumerate(base.rows, start=1) for c in range(1, len(row) + 1)]
-    word = [t.rows[r - 1][c - 1] for (r, c) in boxes]
-    return sum(1 for a in range(len(word)) for b in range(a + 1, len(word)) if word[a] > word[b])
-
-
 @lru_cache(maxsize=None)
-def _scale_table(shape: Partition) -> dict[StandardTableau, Fraction]:
-    """Rescaling constants, checked for independence of the defining path."""
-    all_t = tableaux(shape)
-    lengths = {t: _length(t) for t in all_t}
-    table: dict[StandardTableau, Fraction] = {row_filling(shape): Fraction(1)}
-    n = sum(shape)
-    for t in sorted(all_t, key=lambda t: lengths[t]):
-        for i in range(1, n):
-            r1, c1 = t.position(i)
-            r2, c2 = t.position(i + 1)
-            if r1 == r2 or c1 == c2:
+def _scale_table(shape: Partition) -> dict[tuple[int, ...], Fraction]:
+    """Rescaling constants by content vector, checked for independence of the defining path.
+
+    Walks breadth-first from the row-major filling along the standard swaps
+    with content difference d <= -2, exactly the swaps that raise the
+    Coxeter length by one, and multiplies by d/(d-1) along each.
+    """
+    table = {row_filling(shape).contents: Fraction(1)}
+    queue = list(table)
+    for cv in queue:  # grows while it is read, so the walk is breadth-first
+        for i in range(1, len(cv)):
+            d = cv[i] - cv[i - 1]
+            if d > -2:
                 continue
-            other = t.swap(i)
-            if lengths[other] != lengths[t] + 1:
-                continue
-            d = (c2 - r2) - (c1 - r1)
-            value = Fraction(d, d - 1) * table[t]
+            other = _swapped(cv, i)
+            value = Fraction(d, d - 1) * table[cv]
             if other in table:
                 if table[other] != value:
                     raise RuntimeError(f"inconsistent rescaling constants for {other}")
             else:
                 table[other] = value
-    if len(table) != len(all_t):
-        raise RuntimeError(f"rescaling constants reach {len(table)} of {len(all_t)} tableaux")
+                queue.append(other)
+    total = len(_contents(shape))
+    if len(table) != total:
+        raise RuntimeError(f"rescaling constants reach {len(table)} of {total} tableaux")
     return table
 
 
 def c_scale(t: StandardTableau) -> Fraction:
-    return _scale_table(as_partition(t.shape))[t]
+    return _scale_table(as_partition(t.shape))[t.contents]
+
+
+@lru_cache(maxsize=None)
+def _seminormal(d: int) -> tuple[Fraction, Fraction]:
+    # shared by every row with content difference d
+    return Fraction(1, d), Fraction(d - 1, d)
 
 
 @lru_cache(maxsize=None)
 def _rep_rows(i: int, shape: Partition) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
     """Sparse rows of the i-th adjacent transposition: (column, value) pairs.
 
-    Each row has the diagonal entry 1/d and, when the swap stays standard,
-    the entry (d-1)/d at the swapped tableau, so at most two nonzeros.
+    Each row has the diagonal entry 1/d, d = c_{i+1} - c_i, and, when the
+    swap stays standard (|d| != 1), the entry (d-1)/d at the swapped
+    tableau, so at most two nonzeros.
     """
     index = _index_of(shape)
     rows = []
-    for t_idx, t in enumerate(tableaux(shape)):
-        r1, c1 = t.position(i)
-        r2, c2 = t.position(i + 1)
-        d = (c2 - r2) - (c1 - r1)
-        row = [(t_idx, Fraction(1, d))]
-        if r1 != r2 and c1 != c2:
-            row.append((index[t.swap(i)], Fraction(d - 1, d)))
+    for t_idx, cv in enumerate(_contents(shape)):
+        d = cv[i] - cv[i - 1]
+        diagonal, off_diagonal = _seminormal(d)
+        row = [(t_idx, diagonal)]
+        if abs(d) != 1:
+            row.append((index[_swapped(cv, i)], off_diagonal))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -210,7 +200,7 @@ def f_map(lam, mu) -> RationalMatrix:
     if mu not in ind_set(lam):
         raise ValueError(f"{mu} does not cover {lam}")
     one = Fraction(1)
-    return _dense([((col, one),) for col in _extension(lam, mu)], len(tableaux(mu)))
+    return _dense([((col, one),) for col in _extension(lam, mu)], len(_contents(mu)))
 
 
 def _path_columns(lam1, lam, mu) -> list[int]:

@@ -47,6 +47,13 @@ def test_dual_involution(p):
     assert dual(dual(p)) == p
 
 
+@settings(max_examples=200)
+@given(partitions())
+def test_dual_matches_the_column_count_definition(p):
+    expected = tuple(sum(1 for row in p if row >= j) for j in range(1, p[0] + 1)) if p else ()
+    assert dual(p) == expected
+
+
 # -- res / ind --------------------------------------------------------------
 
 def brute_res(p):

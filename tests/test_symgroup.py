@@ -10,6 +10,8 @@ from bosonfermion.partitions import (
     dual,
     part,
     partitions_up_to,
+    remove_box,
+    removable_corners,
     res_set,
 )
 from bosonfermion.ratmat import RationalMatrix
@@ -65,6 +67,41 @@ def test_tableaux_are_standard_and_distinct():
             for r in range(len(t.rows) - 1):
                 upper, lower = t.rows[r], t.rows[r + 1]
                 assert all(upper[c] < lower[c] for c in range(len(lower)))
+
+
+def row_contents(rows):
+    """Content vector read off a filling given row by row."""
+    pos = {e: c - r for r, row in enumerate(rows, start=1) for c, e in enumerate(row, start=1)}
+    return tuple(pos[v] for v in range(1, len(pos) + 1))
+
+
+def reference_tableaux(shape):
+    """Model: put n in each removable corner of the tableaux one box smaller, as rows."""
+    if not shape:
+        return [()]
+    n = sum(shape)
+    out = []
+    for corner in removable_corners(shape):
+        r = corner[0]
+        for rows in reference_tableaux(remove_box(shape, corner)):
+            grown = [list(row) for row in rows]
+            if r - 1 < len(grown):
+                grown[r - 1].append(n)
+            else:
+                grown.append([n])
+            out.append(tuple(tuple(row) for row in grown))
+    return sorted(out, key=row_contents, reverse=True)
+
+
+def test_tableaux_match_the_row_based_recursion():
+    for shape in partitions_up_to(7):
+        expected = reference_tableaux(shape)
+        ts = tableaux(shape)
+        assert [t.rows for t in ts] == expected, shape
+        assert [t.content_vector() for t in ts] == [row_contents(rows) for rows in expected]
+        entries = iter(range(1, sum(shape) + 1))
+        row_major = tuple(tuple(next(entries) for _ in range(length)) for length in shape)
+        assert row_filling(shape).rows == row_major, shape
 
 
 # -- rescaling constants --------------------------------------------------------
