@@ -255,7 +255,7 @@ def run_verify(args) -> int:
         raise CliError(f"--max-size must be non-negative, got {args.max_size}")
     try:
         result = run_suite(args.suite, args.max_size)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         # the arguments were checked above, so this is a broken invariant, not bad input
         print(f"error: suite {args.suite} aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -188,9 +188,6 @@ class WtqComplex:
     def quotient_labels(self) -> list[Partition]:
         return [label for (_, kind, label, _) in self.components if kind == "corner"]
 
-    def degree0_labels(self) -> list[Partition]:
-        return [label for (_, _, label, _) in self.components]
-
     def arrows_for(self, component) -> list[Fraction]:
         """Differential coefficients from one degree-0 summand into the k copies."""
         _, kind, _, ref = component

@@ -9,14 +9,13 @@ enumerator :func:`bosonfermion.partitions.interlacing` that also lists the
 Schur strips.  Truncations bound the number of rows, of columns, or of rows
 and total size at once.
 The module also builds the finite projective resolutions used by the
-Serre-twist computations and checks them by exact rank computations and
-graded Euler characteristics.
+Serre-twist computations and checks them by graded Euler characteristics and
+by exactness of their sparse boundaries, with ranks from ``ratmat.rank``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .formal import FormalSum
 from .partitions import (
@@ -30,7 +29,7 @@ from .partitions import (
     size,
     union_columns,
 )
-from .ratmat import RationalMatrix
+from .ratmat import rank
 
 
 def exists_hom(lam: Partition, mu: Partition) -> bool:
@@ -352,61 +351,53 @@ def graded_euler_check(res: Resolution, target, tr: Truncation) -> bool:
     return True
 
 
-def _boundary_matrix(res: Resolution, t: int, bases: dict[int, list]) -> RationalMatrix:
-    src_basis = bases[t]
-    dst_basis = bases[t - 1]
-    dst_index = {elem: i for i, elem in enumerate(dst_basis)}
-    data = [[Fraction(0)] * len(src_basis) for _ in range(len(dst_basis))]
-    for (src_pos, dst_pos, gen, sign) in res.boundaries.get(t, ()):
-        for col, (pos, elem) in enumerate(src_basis):
-            if pos != src_pos:
-                continue
-            for img_arrow, coeff in multiply(elem, gen).items():
-                data[dst_index[(dst_pos, img_arrow)]][col] += sign * coeff
-    return RationalMatrix(data)
+def _basis(res: Resolution, degree: int, tr: Truncation) -> list:
+    """Basis vectors (position, element) of the projectives in one degree."""
+    basis = []
+    for pos, label in enumerate(res.labels_at(degree)):
+        if isinstance(label, LimitLabel):
+            raise ValueError("rank checks need finite projectives")
+        basis.extend((pos, elem) for elem in projective_basis(label, tr))
+    return basis
 
 
-def _bases(res: Resolution, tr: Truncation) -> dict[int, list]:
-    bases = {}
-    for degree, labels in res.terms:
-        flat = []
-        for pos, label in enumerate(labels):
-            if isinstance(label, LimitLabel):
-                raise ValueError("rank checks need finite projectives")
-            flat.extend((pos, elem) for elem in projective_basis(label, tr))
-        bases[degree] = flat
-    return bases
+def _boundary(res: Resolution, t: int, tr: Truncation) -> dict:
+    """The boundary out of degree t, sparse: each basis vector of degree t maps
+    to its image, a ``FormalSum`` over the basis vectors of degree t - 1."""
+    gens = res.boundaries.get(t, ())
+    return {
+        (pos, elem): FormalSum(
+            ((dst_pos, image), sign * coeff)
+            for src_pos, dst_pos, gen, sign in gens if src_pos == pos
+            for image, coeff in multiply(elem, gen).items()
+        )
+        for pos, elem in _basis(res, t, tr)
+    }
 
 
 def rank_exactness(res: Resolution, tr: Truncation) -> bool:
     """Squared boundary and rank test inside a finite truncation.
 
-    Checks that consecutive boundaries compose to zero and that at every
-    position with an incoming and outgoing map (counting the zero map into
-    the top) the two ranks fill the middle dimension.
+    Checks that consecutive boundaries compose to zero on every basis vector
+    and that at every position with an incoming and outgoing map (counting
+    the zero map into the top) the two ranks fill the middle dimension.
     """
     if res.boundaries is None:
         raise ValueError("resolution carries no boundary maps")
-    bases = _bases(res, tr)
-    top = res.top_degree
-    mats = {t: _boundary_matrix(res, t, bases) for t in range(1, top + 1)}
-    for t in range(1, top):
-        product = mats[t] @ mats[t + 1]
-        if any(any(x for x in row) for row in product.data):
-            return False
-    for t in range(1, top + 1):
-        incoming = mats[t + 1].rank() if t + 1 <= top else 0
-        if mats[t].rank() + incoming != len(bases[t]):
-            return False
-    return True
+    d = {t: _boundary(res, t, tr) for t in range(1, res.top_degree + 1)}
+    for t in range(1, res.top_degree):
+        for image in d[t + 1].values():
+            if not FormalSum.linear_combination((c, d[t][key]) for key, c in image.items()).is_zero():
+                return False
+    ranks = {t: rank(images.values()) for t, images in d.items()}
+    return all(ranks[t] + ranks.get(t + 1, 0) == len(images) for t, images in d.items())
 
 
 def cokernel_dim(res: Resolution, tr: Truncation) -> int:
     """Dimension of the cokernel of the lowest boundary map."""
     if res.boundaries is None:
         raise ValueError("resolution carries no boundary maps")
-    bases = _bases(res, tr)
-    return len(bases[0]) - _boundary_matrix(res, 1, bases).rank()
+    return len(_basis(res, 0, tr)) - rank(_boundary(res, 1, tr).values())
 
 
 def serre_bar_k0(lam, n: int) -> Partition:

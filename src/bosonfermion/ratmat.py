@@ -1,15 +1,16 @@
 """Exact-rational linear algebra over ``Fraction``.
 
-Small and dependency free.  ``RationalMatrix`` is dense and serves the small
-factorial and boundary matrices of this library (determinants, ranks and
-square solves).  ``solve_in_span`` works on sparse vectors instead, given as
-dicts from coordinate keys to nonzero values, so its cost follows the
-supports of the vectors and not the size of the ambient space.
+Small and dependency free.  Every exact solve and rank (``RationalMatrix.solve``,
+``solve_in_span`` and ``rank``) runs through one Gauss-Jordan routine over
+sparse rows, ``_echelon``, whose cost follows the supports of the rows and not
+the size of the ambient space.  ``RationalMatrix.det`` alone keeps its own
+elimination, fraction-free (Bareiss).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice
 
 
 class SingularMatrixError(ValueError):
@@ -17,6 +18,7 @@ class SingularMatrixError(ValueError):
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
@@ -38,16 +40,6 @@ class RationalMatrix:
         for row in self.data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
-    def row(self, i: int) -> list[Fraction]:
-        return list(self.data[i])
 
     def column(self, j: int) -> list[Fraction]:
         return [row[j] for row in self.data]
@@ -109,33 +101,15 @@ class RationalMatrix:
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def rank(self) -> int:
-        m = [row[:] for row in self.data]
-        rank = 0
-        for col in range(self.cols):
-            pivot = next((r for r in range(rank, self.rows) if m[r][col]), None)
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            inv = 1 / m[rank][col]
-            m[rank] = [x * inv for x in m[rank]]
-            for r in range(self.rows):
-                if r != rank and m[r][col]:
-                    factor = m[r][col]
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
-
     def solve(self, rhs):
         """Solve the square system ``self @ x = rhs`` exactly.
 
         ``rhs`` is one right-hand side as a sequence, giving the solution as
         a list, or several as the columns of a ``RationalMatrix``, giving the
-        matrix of solutions column by column.  Either way one Gauss-Jordan
-        pass runs over the matrix augmented by every right-hand side, so the
-        matrix is eliminated once however many systems share it.
+        matrix of solutions column by column.  Either way the rows of the
+        matrix augmented by every right-hand side go through ``_echelon``
+        once, so the matrix is eliminated once however many systems share it.
+        A singular matrix raises ``SingularMatrixError``.
         """
         if self.rows != self.cols:
             raise ValueError("solve requires a square matrix")
@@ -144,19 +118,10 @@ class RationalMatrix:
         b = rhs.data if several else [[_as_fraction(x)] for x in rhs]
         if len(b) != n:
             raise ValueError("rhs length mismatch")
-        m = [row + b_row for row, b_row in zip(self.data, b)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col]), None)
-            if pivot is None:
-                raise SingularMatrixError("singular system")
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col]:
-                    factor = m[r][col]
-                    m[r] = [a - factor * c if c else a for a, c in zip(m[r], m[col])]
-        solutions = [row[n:] for row in m]
+        pivots, _ = _echelon((dict(enumerate(row + b_row)) for row, b_row in zip(self.data, b)), n)
+        if len(pivots) < n:
+            raise SingularMatrixError("singular system")
+        solutions = [[pivots[i].get(j, _ZERO) for j in range(n, n + len(b[0]))] for i in range(n)]
         return RationalMatrix(solutions) if several else [row[0] for row in solutions]
 
     def to_strings(self) -> list[list[str]]:
@@ -166,30 +131,75 @@ class RationalMatrix:
         return f"RationalMatrix({self.to_strings()})"
 
 
+def _subtract(row: dict, factor: Fraction, other: dict) -> None:
+    """``row -= factor * other`` in place, dropping entries that cancel."""
+    for col, value in other.items():
+        value = row.get(col, 0) - factor * value
+        if value:
+            row[col] = value
+        else:
+            del row[col]
+
+
+def _echelon(rows, n: int | None = None) -> tuple[dict, bool]:
+    """Gauss-Jordan elimination over sparse rows read one at a time.
+
+    A row maps each column to its value through ``items()``.  Pivots are taken
+    among the columns ``0 .. n-1`` (the unknowns) when ``n`` is given, else
+    among all; reading stops once every unknown has a pivot, leaving the other
+    rows in the iterator.  Returns the pivot rows by pivot column, each with a
+    1 there and no entry in any other pivot column, and whether some row
+    reduced to entries outside the unknowns only.
+    """
+    pivots: dict = {}
+    rhs_only = False
+    for row in rows:
+        row = {col: value for col, value in row.items() if value}
+        for col in [c for c in row if c in pivots]:
+            _subtract(row, row[col], pivots[col])
+        col = next((c for c in row if n is None or c < n), None)
+        if col is None:
+            rhs_only = rhs_only or bool(row)
+            continue
+        inv = _ONE / row[col]
+        row = {c: value * inv for c, value in row.items()}
+        for pivot_row in pivots.values():
+            if col in pivot_row:
+                _subtract(pivot_row, pivot_row[col], row)
+        pivots[col] = row
+        if len(pivots) == n:
+            break
+    return pivots, rhs_only
+
+
+def rank(vectors) -> int:
+    """Rank of sparse vectors, each mapping coordinate keys to values through ``items()``."""
+    return len(_echelon(vectors)[0])
+
+
 def solve_in_span(vectors: list[dict], target: dict) -> list[Fraction] | None:
     """Express ``target`` in the span of independent sparse ``vectors``.
 
     Each vector maps a coordinate key to its value; a missing key is zero.
-    One Gauss-Jordan pass runs over the union of the supports only.  Returns
-    the coefficient list, or None if the target is not in the span.  Raises
-    ValueError when the given vectors are linearly dependent.
+    Each key gives one equation.  ``_echelon`` reads equations until every
+    vector has a pivot, the solution is read off the pivot rows, and the
+    unread equations are checked by substitution.  Returns the coefficient
+    list, or None if the target is not in the span.  Raises ValueError when
+    the vectors are none or linearly dependent, whatever the target.
     """
     if not vectors:
         raise ValueError("need at least one vector")
-    cols = len(vectors)
-    keys = dict.fromkeys(key for v in (*vectors, target) for key in v)
-    m = [[_as_fraction(v.get(key, _ZERO)) for v in (*vectors, target)] for key in keys]
-    for col in range(cols):
-        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
-        if pivot is None:
-            raise ValueError("vectors are linearly dependent")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(len(m)):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b if b else a for a, b in zip(m[r], m[col])]
-    if any(row[cols] for row in m[cols:]):
+    n = len(vectors)
+    columns = (*vectors, target)
+    # each vector's first key leads, so the pivots usually come from the first n equations
+    keys = dict.fromkeys(chain(*(islice(v, 1) for v in vectors), *columns))
+    equations = ({c: v[key] for c, v in enumerate(columns) if key in v} for key in keys)
+    pivots, rhs_only = _echelon(equations, n)
+    if len(pivots) < n:
+        raise ValueError("vectors are linearly dependent")
+    x = [pivots[c].get(n, _ZERO) for c in range(n)]
+    if rhs_only or any(
+        sum(x[c] * value for c, value in row.items() if c < n) != row.get(n, 0) for row in equations
+    ):
         return None
-    return [m[col][cols] for col in range(cols)]
+    return x

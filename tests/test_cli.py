@@ -173,14 +173,15 @@ def test_internal_failure_is_not_a_usage_error(monkeypatch):
         main(["coeff", "--lam1", "(1)", "--lam", "(2)", "--mu", "(2,1)"])
 
 
-def test_verify_reports_an_aborted_suite_as_a_failure(monkeypatch, capsys):
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_verify_reports_an_aborted_suite_as_a_failure(monkeypatch, capsys, error):
     def broken(*args):
-        raise ValueError("broken invariant")
+        raise error("broken invariant")
 
     monkeypatch.setattr(symgroup, "a_oracle", broken)
     code, out, err = run(capsys, "verify", "--suite", "bfhcl", "--max-size", "3")
     assert code == 1 and out == ""
-    assert err == "error: suite bfhcl aborted: ValueError: broken invariant\n"
+    assert err == f"error: suite bfhcl aborted: {error.__name__}: broken invariant\n"
 
 
 def test_oracle_outside_the_span_is_not_a_usage_error(monkeypatch):

@@ -147,7 +147,7 @@ def test_g_vector_examples():
     assert g_vector((2,), (1,)) == [Fraction(2), Fraction(-2)]
     g = g_vector((2, 1), (2,))
     c = matrix_c((2, 1), 2)
-    rhs = [sum(c.at(i, j) * g[j] for j in range(2)) for i in range(2)]
+    rhs = [sum(c.data[i][j] * g[j] for j in range(2)) for i in range(2)]
     from bosonfermion.correspondence import inv_factorial
 
     anchor = 0  # the corner removed from column 1 of (2,1) sits at window 0

@@ -164,6 +164,23 @@ def test_rank_exactness_negative_control():
     assert not rank_exactness(res, tr)
 
 
+def test_rank_exactness_catches_a_missing_top_boundary():
+    # d o d = 0 still holds with a zero top boundary, so only the ranks fail
+    for lam, n in (((1,), 2), ((2, 1), 3)):
+        res = resolution_q(lam, n)
+        res.boundaries[n] = ()
+        tr = Truncation.rows_and_size(n, sum(lam) + 2 * n + 2)
+        assert not rank_exactness(res, tr), (lam, n)
+
+
+def test_rank_exactness_catches_a_boundary_that_does_not_square_to_zero():
+    # with every sign +1 the ranks still add up, so only d o d = 0 fails
+    res = resolution_simple((2, 1), 2)
+    res.boundaries[2] = tuple((s, t, g, 1) for s, t, g, _ in res.boundaries[2])
+    tr = Truncation.rows_and_size(2, 9)
+    assert not rank_exactness(res, tr)
+
+
 def test_graded_euler_checks():
     for n in (1, 2, 3):
         for lam in partitions_bounded(n, 6):

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonfermion.correspondence import matrix_c
 from bosonfermion.partitions import dual, partitions_up_to
-from bosonfermion.ratmat import RationalMatrix, SingularMatrixError, solve_in_span
+from bosonfermion.ratmat import RationalMatrix, SingularMatrixError, rank, solve_in_span
 
 
 def test_solve_in_span_sparse_solution():
@@ -65,3 +68,32 @@ def test_solve_singular_matrix_raises():
         singular.solve([1, 0])
     with pytest.raises(SingularMatrixError):
         singular.solve(RationalMatrix([[1, 0], [0, 1]]))
+
+
+def largest_nonzero_minor(m):
+    """Model of the rank: the largest k with a nonzero k x k minor, by Bareiss ``det``."""
+    cols = len(m[0]) if m else 0
+    return max(
+        (
+            k
+            for k in range(1, min(len(m), cols) + 1)
+            for r in combinations(range(len(m)), k)
+            for c in combinations(range(cols), k)
+            if RationalMatrix([[m[i][j] for j in c] for i in r]).det()
+        ),
+        default=0,
+    )
+
+
+small_integer_matrices = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(-2, 2), min_size=cols, max_size=cols), min_size=0, max_size=4
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_integer_matrices)
+def test_rank_matches_the_largest_nonzero_minor(m):
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    assert rank(rows) == largest_nonzero_minor(m)
