@@ -16,7 +16,6 @@ from .partitions import (
     as_partition,
     content,
     res_set,
-    share_row_or_column,
 )
 from .ratmat import format_fraction
 from .schur import SchurVector, schur_basis
@@ -89,51 +88,46 @@ _FOCK_OP = re.compile(r"^(t|psi\*|psi|sbar|sn|gq|gp|tau)\s*(-?\d+)$")
 _SCHUR_OP = re.compile(r"^(p_row|p_col|q_row|q_col)[ :]?(\d+)$")
 
 
+# Operator name -> (space it acts on, call on (index, vector)).  Each call
+# looks its function up in ``schur`` or ``fock`` when it runs, so a patched
+# operator is the one ``act`` applies.
+_ACT = {
+    "q": ("schur", lambda _, v: schur.apply_q(v)),
+    "p": ("schur", lambda _, v: schur.apply_p(v)),
+    "p_row": ("schur", lambda m, v: schur.apply_p_row(m, v)),
+    "p_col": ("schur", lambda m, v: schur.apply_p_col(m, v)),
+    "q_row": ("schur", lambda n, v: schur.apply_q_row(n, v)),
+    "q_col": ("schur", lambda n, v: schur.apply_q_col(n, v)),
+    "t": ("fock", lambda i, v: fock.apply_t(i, v)),
+    "psi": ("fock", lambda j, v: fock.apply_psi(j, v)),
+    "psi*": ("fock", lambda j, v: fock.apply_psi_star(j, v)),
+    "sbar": ("fock", lambda n, v: fock.s_bar_n(n, v)),
+    "sn": ("fock", lambda n, v: fock.s_n_op(n, v)),
+    "gq": ("fock", lambda n, v: fock.g_q_trunc(n, v)),
+    "gp": ("fock", lambda n, v: fock.g_p_trunc(n, v)),
+    "tau": ("fock", lambda s, v: fock.tau(v, s)),
+}
+
+
 def run_act(args) -> int:
     op = args.op.strip()
+    m = _SCHUR_OP.match(op) or _FOCK_OP.match(op)
     if op in ("q", "p"):
-        v = schur_basis(parse_partition(args.on))
-        out = schur.apply_q(v) if op == "q" else schur.apply_p(v)
-        print(json.dumps({"op": op, "vector": out.to_json()}) if args.json else schur_text(out))
-        return 0
-    m = _SCHUR_OP.match(op)
-    if m:
-        name, size = m.group(1), int(m.group(2))
-        v = schur_basis(parse_partition(args.on))
-        fn = {
-            "p_row": schur.apply_p_row,
-            "p_col": schur.apply_p_col,
-            "q_row": schur.apply_q_row,
-            "q_col": schur.apply_q_col,
-        }[name]
-        out = fn(size, v)
-        print(json.dumps({"op": op, "vector": out.to_json()}) if args.json else schur_text(out))
-        return 0
-    m = _FOCK_OP.match(op)
-    if m:
+        name, idx = op, None
+    elif m:
         name, idx = m.group(1), int(m.group(2))
+    else:
+        raise CliError(f"unknown operator {args.op!r}")
+    space, act = _ACT[name]
+    if space == "schur":
+        v, text = schur_basis(parse_partition(args.on)), schur_text
+    else:
         if abs(idx) > MAX_FOCK_INDEX:
             raise CliError(f"index {idx} of {name!r} exceeds the cap |index| <= {MAX_FOCK_INDEX}")
-        v = FockVector.basis(parse_sequence(args.on))
-        if name == "t":
-            out = fock.apply_t(idx, v)
-        elif name == "psi":
-            out = fock.apply_psi(idx, v)
-        elif name == "psi*":
-            out = fock.apply_psi_star(idx, v)
-        elif name == "sbar":
-            out = fock.s_bar_n(idx, v)
-        elif name == "sn":
-            out = fock.s_n_op(idx, v)
-        elif name == "gq":
-            out = fock.g_q_trunc(idx, v)
-        elif name == "gp":
-            out = fock.g_p_trunc(idx, v)
-        else:
-            out = fock.tau(v, idx)
-        print(json.dumps({"op": op, "vector": out.to_json()}) if args.json else fock_text(out))
-        return 0
-    raise CliError(f"unknown operator {args.op!r}")
+        v, text = FockVector.basis(parse_sequence(args.on)), fock_text
+    out = act(idx, v)
+    print(json.dumps({"op": op, "vector": out.to_json()}) if args.json else text(out))
+    return 0
 
 
 def run_coeff(args) -> int:
@@ -142,12 +136,9 @@ def run_coeff(args) -> int:
     mu = parse_partition(args.mu)
     if lam1 not in res_set(lam) or lam not in res_set(mu):
         raise CliError(f"{lam1} -> {lam} -> {mu} is not a removal path")
-    b1, b2 = added_box(lam1, lam), added_box(lam, mu)
-    two_dim = not share_row_or_column(b1, b2)
-    d = content(b2) - content(b1)
+    d = content(added_box(lam, mu)) - content(added_box(lam1, lam))
     rows = []
-    branches = [symgroup.LAM_BRANCH] + ([symgroup.NU_BRANCH] if two_dim else [])
-    for branch in branches:
+    for branch in symgroup.path_branches(lam1, lam, mu):
         rows.append(
             {
                 "branch": branch,

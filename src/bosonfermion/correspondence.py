@@ -25,7 +25,6 @@ from .partitions import (
     dual,
     part,
     res_set,
-    share_row_or_column,
     to_sequence,
 )
 from .ratmat import RationalMatrix, format_fraction
@@ -300,14 +299,9 @@ def tilde_a(lam1, lam, mu, branch: str) -> Fraction:
     lam1, lam, mu = as_partition(lam1), as_partition(lam), as_partition(mu)
     if lam1 not in res_set(lam) or lam not in res_set(mu):
         raise ValueError(f"{lam1} -> {lam} -> {mu} is not a path of single box additions")
-    b1 = added_box(lam1, lam)
-    b2 = added_box(lam, mu)
+    symgroup.path_branches(lam1, lam, mu, branch)
     if branch == NU_BRANCH:
-        if share_row_or_column(b1, b2):
-            raise ValueError("no second branch: the added boxes form a domino")
         return Fraction(1)
-    if branch != LAM_BRANCH:
-        raise ValueError(f"unknown branch {branch!r}")
     return _lam_branch_solved(lam, mu, [lam1])[0]
 
 
@@ -325,13 +319,8 @@ def verify_bf_hcl(mu) -> dict:
     cases = []
     for lam in sorted(res_set(mu)):
         corners = sorted(res_set(lam))
-        b2 = added_box(lam, mu)
         for lam1, solved_lam in zip(corners, _lam_branch_solved(lam, mu, corners)):
-            b1 = added_box(lam1, lam)
-            branches = [LAM_BRANCH]
-            if not share_row_or_column(b1, b2):
-                branches.append(NU_BRANCH)
-            for branch in branches:
+            for branch in symgroup.path_branches(lam1, lam, mu):
                 a = symgroup.a_coeff(lam1, lam, mu, branch)
                 oracle = symgroup.a_oracle(lam1, lam, mu, branch)
                 solved = solved_lam if branch == LAM_BRANCH else tilde_a(lam1, lam, mu, branch)

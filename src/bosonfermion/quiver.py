@@ -264,6 +264,8 @@ def resolution_df_p(mu, n: int) -> Resolution:
     mu = as_partition(mu)
     if len(mu) > n:
         raise ValueError(f"{mu} has more than {n} rows")
+    if n < 1:
+        raise ValueError(f"the dualizing twist needs n >= 1, got n={n}")
     padded = [part(mu, i) for i in range(1, n + 1)]
     if padded[n - 1] == 0:
         return Resolution("df_p", mu, n, [(0, (LimitLabel(tuple(padded[: n - 1]), n),))])

@@ -1,7 +1,10 @@
-"""Named verification sweeps behind the command line ``verify`` subcommand.
+"""Named verification sweeps: the acceptance gate's relation checks.
 
-Each suite enumerates its cases deterministically, never skips silently, and
-reports failures as sorted case keys.
+This is the one place a relation sweep is written.  The ``verify``
+subcommand, the benchmark in ``perfbench`` and the acceptance criteria in
+``tests/test_acceptance.py`` all run these suites.  Each suite enumerates
+its cases deterministically, never skips silently, and reports failures as
+sorted case keys.
 """
 
 from __future__ import annotations
@@ -84,54 +87,63 @@ def suite_clifford(max_size: int) -> SuiteResult:
     return result
 
 
+# The (raising, lowering) strip pairs of the exchange families, and the
+# composites A_m(B_n(v)) the strip relations read: each strip operator after
+# itself, and each pair in both orders.
+_ROW, _COL = ("p_row", "q_row"), ("p_col", "q_col")
+_MIXED = (("p_col", "q_row"), ("p_row", "q_col"))
+_COMPOSED = [(a, a) for a in _ROW + _COL] + [
+    pair for p, q in (_ROW, _COL, *_MIXED) for pair in ((q, p), (p, q))
+]
+
+
+def _exchange_holds(comp, p: str, q: str, m: int, n: int, most: int) -> bool:
+    """q^(n) p^(m) = sum of p^(m-k) q^(n-k) over k <= min(m, n, most), read from ``comp``."""
+    rhs = SchurVector.linear_combination(
+        (1, comp[p, m - k, q, n - k]) for k in range(min(m, n, most) + 1)
+    )
+    return comp[q, n, p, m] == rhs
+
+
 def suite_heisenberg(max_size: int) -> SuiteResult:
-    """Single-box commutator and the divided-power strip relations."""
+    """Single-box commutator and the divided-power strip relations.
+
+    ``qp-pq`` is q p = p q + 1 for |lam| <= max_size.  For |lam| <=
+    min(max_size, 6) and m, n = 0..3, with X^(m) adding or removing an
+    m-strip: ``row commute`` is X^(m) X^(n) = X^(n) X^(m) for X = p_row and
+    for X = q_row, ``col commute`` the same for p_col and q_col; ``row
+    exchange`` is q_row^(n) p_row^(m) = sum_k p_row^(m-k) q_row^(n-k), ``col
+    exchange`` the same for columns; ``mixed exchange`` is q_row^(n) p_col^(m)
+    = p_col^(m) q_row^(n) + p_col^(m-1) q_row^(n-1), and the same for q_col
+    and p_row.  Each strip image and each composite of two is computed once
+    per lam, with the operators looked up in ``schur`` when the suite runs.
+    """
     result = SuiteResult("heisenberg", max_size)
     for lam in partitions_up_to(max_size):
         v = schur_basis(lam)
         lhs = schur.apply_q(schur.apply_p(v))
         rhs = schur.apply_p(schur.apply_q(v)) + v
         result.check(f"qp-pq lam={lam}", lhs == rhs)
-    strip_cap = min(max_size, 6)
-    for lam in partitions_up_to(strip_cap):
+    ops = {name: getattr(schur, f"apply_{name}") for name in _ROW + _COL}
+    powers = range(4)
+    for lam in partitions_up_to(min(max_size, 6)):
         v = schur_basis(lam)
-        for m in range(4):
-            for n in range(4):
-                if m + n > 6:
-                    continue
-                result.check(
-                    f"p_row commute lam={lam} m={m} n={n}",
-                    schur.apply_p_row(m, schur.apply_p_row(n, v))
-                    == schur.apply_p_row(n, schur.apply_p_row(m, v)),
-                )
-                result.check(
-                    f"q_col commute lam={lam} m={m} n={n}",
-                    schur.apply_q_col(m, schur.apply_q_col(n, v))
-                    == schur.apply_q_col(n, schur.apply_q_col(m, v)),
-                )
-        for m in range(4):
-            for n in range(4):
-                rhs = SchurVector.zero()
-                for k in range(min(m, n) + 1):
-                    rhs = rhs + schur.apply_p_row(m - k, schur.apply_q_row(n - k, v))
-                result.check(
-                    f"row exchange lam={lam} m={m} n={n}",
-                    schur.apply_q_row(n, schur.apply_p_row(m, v)) == rhs,
-                )
-                rhs = SchurVector.zero()
-                for k in range(min(m, n) + 1):
-                    rhs = rhs + schur.apply_p_col(m - k, schur.apply_q_col(n - k, v))
-                result.check(
-                    f"col exchange lam={lam} m={m} n={n}",
-                    schur.apply_q_col(n, schur.apply_p_col(m, v)) == rhs,
-                )
-                mixed = schur.apply_p_col(m, schur.apply_q_row(n, v))
-                if m >= 1 and n >= 1:
-                    mixed = mixed + schur.apply_p_col(m - 1, schur.apply_q_row(n - 1, v))
-                result.check(
-                    f"mixed exchange lam={lam} m={m} n={n}",
-                    schur.apply_q_row(n, schur.apply_p_col(m, v)) == mixed,
-                )
+        image = {(b, n): ops[b](n, v) for b in ops for n in powers}
+        comp = {
+            (a, m, b, n): ops[a](m, image[b, n])
+            for a, b in _COMPOSED
+            for m in powers
+            for n in powers
+        }
+        for m in powers:
+            for n in powers:
+                tag = f"lam={lam} m={m} n={n}"
+                for family, (p, q) in (("row", _ROW), ("col", _COL)):
+                    commute = all(comp[a, m, a, n] == comp[a, n, a, m] for a in (p, q))
+                    result.check(f"{family} commute {tag}", commute)
+                    result.check(f"{family} exchange {tag}", _exchange_holds(comp, p, q, m, n, 3))
+                mixed = all(_exchange_holds(comp, p, q, m, n, 1) for p, q in _MIXED)
+                result.check(f"mixed exchange {tag}", mixed)
     return result
 
 

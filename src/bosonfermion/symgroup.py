@@ -283,11 +283,22 @@ def h_coeff(lam1, lam) -> Fraction:
     return Fraction(-1 if s % 2 else 1) * arm / leg
 
 
-def _classify(lam1, lam, mu):
-    b1 = added_box(lam1, lam)
-    b2 = added_box(lam, mu)
-    two_dim = not share_row_or_column(b1, b2)
-    return b1, b2, two_dim
+def path_branches(lam1, lam, mu, *wanted: str) -> tuple[str, ...]:
+    """The coefficient branches of the path lam1 -> lam -> mu.
+
+    The lam branch always exists; the nu branch exists when the two added
+    boxes span a square, not when they form a domino.  Raise ValueError for
+    a ``wanted`` branch that is not one of them.  The rule reads box
+    geometry only, so the coefficient routes that share it stay independent.
+    """
+    square = not share_row_or_column(added_box(lam1, lam), added_box(lam, mu))
+    found = (LAM_BRANCH, NU_BRANCH) if square else (LAM_BRANCH,)
+    for branch in wanted:
+        if branch not in (LAM_BRANCH, NU_BRANCH):
+            raise ValueError(f"unknown branch {branch!r}")
+        if branch not in found:
+            raise ValueError("no second branch: the added boxes form a domino")
+    return found
 
 
 def a_coeff(lam1, lam, mu, branch: str) -> Fraction:
@@ -298,15 +309,12 @@ def a_coeff(lam1, lam, mu, branch: str) -> Fraction:
     sign is +1 for a horizontal and -1 for a vertical domino.
     """
     lam1, lam, mu = _validate_path(lam1, lam, mu)
-    b1, b2, two_dim = _classify(lam1, lam, mu)
+    square = len(path_branches(lam1, lam, mu, branch)) == 2
     if branch == NU_BRANCH:
-        if not two_dim:
-            raise ValueError("no second branch: the added boxes form a domino")
         return Fraction(1)
-    if branch != LAM_BRANCH:
-        raise ValueError(f"unknown branch {branch!r}")
+    b1, b2 = added_box(lam1, lam), added_box(lam, mu)
     ratio = h_coeff(lam, mu) / h_coeff(lam1, lam)
-    if two_dim:
+    if square:
         return ratio / (content(b2) - content(b1))
     eps = 1 if b1[0] == b2[0] else -1
     return eps * ratio
@@ -319,8 +327,8 @@ def a_closed_expanded(lam1, lam, mu) -> Fraction:
     and strictly to the right of the second one.
     """
     lam1, lam, mu = _validate_path(lam1, lam, mu)
-    b1, b2, two_dim = _classify(lam1, lam, mu)
-    if not two_dim or not (b1[0] < b2[0] and b1[1] > b2[1]):
+    b1, b2 = added_box(lam1, lam), added_box(lam, mu)
+    if not (b1[0] < b2[0] and b1[1] > b2[1]):
         raise ValueError("expanded form requires the first box at the top right of the second")
     s1, t1 = b2[1] - 1, b1[0] - 1
     s2 = b1[1] - b2[1] - 1
@@ -352,14 +360,10 @@ def a_oracle(lam1, lam, mu, branch: str) -> Fraction:
     never consulted.
     """
     lam1, lam, mu = _validate_path(lam1, lam, mu)
-    b1, b2, two_dim = _classify(lam1, lam, mu)
-    if branch not in (LAM_BRANCH, NU_BRANCH):
-        raise ValueError(f"unknown branch {branch!r}")
-    if branch == NU_BRANCH and not two_dim:
-        raise ValueError("no second branch: the added boxes form a domino")
+    square = len(path_branches(lam1, lam, mu, branch)) == 2
     h_base = h_coeff(lam1, lam)
-    if two_dim:
-        nu = add_box(lam1, b2)
+    if square:
+        nu = add_box(lam1, added_box(lam, mu))
         alpha, beta = _square_decomposition(lam1, lam, nu, mu)
         if branch == LAM_BRANCH:
             return alpha * h_coeff(lam, mu) / h_base

@@ -134,6 +134,12 @@ def test_resolve_output(capsys):
     assert code == 0 and "oo" in out
 
 
+def test_resolve_dfp_without_rows_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "resolve", "--kind", "dfp", "--lam", "()", "--n", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "n >= 1" in err
+
+
 def test_det_output(capsys):
     code, out, _ = run(capsys, "det", "--lam", "(2)", "--json")
     assert code == 0

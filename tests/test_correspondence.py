@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -12,13 +11,12 @@ from bosonfermion.correspondence import (
     matrix_a_closed,
     matrix_b,
     matrix_c,
-    sn_bridge_holds,
     subclaim_identity,
     tilde_a,
     verify_bf_hcl,
     wtq_tensor,
 )
-from bosonfermion.partitions import added_box, dual, partitions_bounded, partitions_up_to, res_set
+from bosonfermion.partitions import added_box, dual, partitions_up_to, res_set
 from bosonfermion.ratmat import RationalMatrix, format_fraction
 from bosonfermion.suites import run_suite
 from bosonfermion.symgroup import LAM_BRANCH, NU_BRANCH
@@ -38,30 +36,11 @@ def test_f_closed_examples():
     assert f_closed(2, 3) == Fraction(1, 8)
 
 
-def test_f_sum_equals_closed_form():
-    for s in range(-5, 9):
-        for t in range(1, 9):
-            assert f_sum(s, t) == f_closed(s, t), (s, t)
-
-
 def test_cauchy_examples():
     assert cauchy_det([0], [1]) == 1
     assert cauchy_det([1, 2], [0, 1]) == Fraction(1, 12)
     with pytest.raises(ValueError):
         cauchy_det([1, -1], [1, 1])
-
-
-def test_cauchy_against_direct_determinant():
-    rng = random.Random(20250808)
-    for _ in range(20):
-        k = rng.randint(1, 6)
-        while True:
-            a = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
-            b = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
-            if all(x + y != 0 for x in a for y in b):
-                break
-        direct = RationalMatrix([[1 / (x + y) for y in b] for x in a]).det()
-        assert cauchy_det(a, b) == direct
 
 
 def test_matrix_c_examples():
@@ -174,12 +153,6 @@ def test_verify_small():
     assert trivial["passed"] and trivial["cases"] == []
 
 
-def test_verify_sweep_medium():
-    for mu in partitions_up_to(6):
-        if mu:
-            assert verify_bf_hcl(mu)["passed"], mu
-
-
 def test_bfhcl_suite_at_size_ten():
     result = run_suite("bfhcl", 10)
     assert result.passed, result.failures[:3]
@@ -191,15 +164,6 @@ def test_subclaim_examples_and_sweep():
     assert subclaim_identity((2, 1))
     with pytest.raises(ValueError):
         subclaim_identity(())
-    for mu in partitions_up_to(12):
-        if mu:
-            assert subclaim_identity(mu), mu
-
-
-def test_row_twist_bridge():
-    for n in range(4):
-        for lam in partitions_bounded(n, 8):
-            assert sn_bridge_holds(lam, n), (lam, n)
 
 
 def removal_paths(mu):

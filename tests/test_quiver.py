@@ -13,7 +13,6 @@ from bosonfermion.quiver import (
     Truncation,
     arrow,
     cokernel_dim,
-    df_tensor_dims,
     exists_hom,
     graded_euler_check,
     multiply,
@@ -25,7 +24,6 @@ from bosonfermion.quiver import (
     resolution_q,
     resolution_simple,
     serre_bar_k0,
-    simple_dims,
 )
 
 
@@ -143,16 +141,6 @@ def test_resolution_q_consecutive_boundaries_vanish():
                 assert multiply(g2, g1).is_zero(), (lam, n, t)
 
 
-def test_rank_exactness_and_cokernel():
-    for n in (1, 2, 3):
-        for lam in partitions_bounded(n, 6):
-            m = sum(lam) + 2 * n + 2
-            tr = Truncation.rows_and_size(n, m)
-            res = resolution_q(lam, n)
-            assert rank_exactness(res, tr), (lam, n)
-            assert cokernel_dim(res, tr) == len(q_module_basis(lam, n, m)), (lam, n)
-
-
 def test_rank_exactness_negative_control():
     res = resolution_q((1,), 2)
     # corrupt the lowest boundary generator
@@ -179,16 +167,6 @@ def test_rank_exactness_catches_a_boundary_that_does_not_square_to_zero():
     res.boundaries[2] = tuple((s, t, g, 1) for s, t, g, _ in res.boundaries[2])
     tr = Truncation.rows_and_size(2, 9)
     assert not rank_exactness(res, tr)
-
-
-def test_graded_euler_checks():
-    for n in (1, 2, 3):
-        for lam in partitions_bounded(n, 6):
-            m = sum(lam) + 2 * n + 2
-            tr = Truncation.rows_and_size(n, m)
-            assert graded_euler_check(resolution_q(lam, n), q_module_dims(lam, n, m), tr)
-            assert graded_euler_check(resolution_df_p(lam, n), df_tensor_dims(lam, n), tr)
-            assert graded_euler_check(resolution_simple(lam, n), simple_dims(lam), tr)
 
 
 def test_graded_euler_negative_control():
@@ -260,21 +238,6 @@ def test_serre_bar_examples():
     for n in range(1, 5):
         for lam in partitions_bounded(n, 8):
             assert exists_hom(dual(lam), serre_bar_k0(lam, n))
-
-
-def test_column_pairing_biconditional():
-    for n in range(1, 5):
-        for lam in partitions_bounded(n, 8):
-            target = serre_bar_k0(lam, n)
-            for mu in partitions_bounded(n, 8):
-                lhs = exists_hom(dual(lam), dual(mu))
-                rhs = exists_hom(dual(mu), target)
-                assert lhs == rhs, (n, lam, mu)
-                if lhs:
-                    prod = multiply(
-                        ArrowElement(dual(lam), dual(mu)), ArrowElement(dual(mu), target)
-                    )
-                    assert prod == FElement.basis(ArrowElement(dual(lam), target))
 
 
 def test_degree_n_label_realizes_adjunction_count():

@@ -193,20 +193,6 @@ def test_h_examples():
         h_coeff((2,), (2,))
 
 
-def test_h_square_relation():
-    for mu in partitions_up_to(8):
-        corners = sorted(res_set(mu))
-        for lam in corners:
-            for mu1 in corners:
-                if lam == mu1:
-                    continue
-                lam1 = as_partition(
-                    [min(part(lam, i), part(mu1, i)) for i in range(1, len(mu) + 1)]
-                )
-                d = content(added_box(lam, mu)) - content(added_box(mu1, mu))
-                assert h_coeff(mu1, mu) * (d - 1) == d * h_coeff(lam1, lam), (mu, lam, mu1)
-
-
 # -- structure constants ----------------------------------------------------------
 
 def test_a_examples():
