@@ -29,6 +29,13 @@ MAX_FOCK_INDEX = 1000
 # Largest |charge| of an ``act --on`` sequence, for the same reason: a tail
 # removal from a charge-k sequence materialises about |k| head entries.
 MAX_FOCK_CHARGE = 1000
+# Largest k of ``det``: C is k x k and its Bareiss determinant takes about k^3
+# Fraction operations on growing entries (k = 60 takes about 1 s on a 2-vCPU
+# x86 host).
+MAX_DET_K = 60
+# Largest |mu| of ``coeff``: the oracle acts on the f^mu tableaux of mu, and
+# its time and memory grow with their number.
+MAX_COEFF_SIZE = 14
 
 
 class CliError(ValueError):
@@ -134,6 +141,8 @@ def run_coeff(args) -> int:
     lam1 = parse_partition(args.lam1)
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
+    if sum(mu) > MAX_COEFF_SIZE:
+        raise CliError(f"|mu| = {sum(mu)} exceeds the cap |mu| <= {MAX_COEFF_SIZE}")
     if lam1 not in res_set(lam) or lam not in res_set(mu):
         raise CliError(f"{lam1} -> {lam} -> {mu} is not a removal path")
     d = content(added_box(lam, mu)) - content(added_box(lam1, lam))
@@ -218,6 +227,10 @@ def run_resolve(args) -> int:
 def run_det(args) -> int:
     lam = parse_partition(args.lam)
     k = args.k if args.k is not None else (lam[0] if lam else 1)
+    if k < 0:
+        raise CliError(f"k must be non-negative, got {k}")
+    if k > MAX_DET_K:
+        raise CliError(f"k={k} exceeds the cap k <= {MAX_DET_K}")
     c = co.matrix_c(lam, k)
     direct = c.det()
     closed = co.det_a_closed(lam, k)

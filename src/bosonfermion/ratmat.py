@@ -4,7 +4,9 @@ Small and dependency free.  Every exact solve and rank (``RationalMatrix.solve``
 ``solve_in_span`` and ``rank``) runs through one Gauss-Jordan routine over
 sparse rows, ``_echelon``, whose cost follows the supports of the rows and not
 the size of the ambient space.  ``RationalMatrix.det`` alone keeps its own
-elimination, fraction-free (Bareiss).
+elimination, fraction-free (Bareiss).  ``solve_in_span`` eliminates only
+until every unknown has a pivot and checks each remaining equation on its own,
+multiplying only by coefficients other than 1.
 """
 
 from __future__ import annotations
@@ -182,24 +184,30 @@ def solve_in_span(vectors: list[dict], target: dict) -> list[Fraction] | None:
 
     Each vector maps a coordinate key to its value; a missing key is zero.
     Each key gives one equation.  ``_echelon`` reads equations until every
-    vector has a pivot, the solution is read off the pivot rows, and the
-    unread equations are checked by substitution.  Returns the coefficient
-    list, or None if the target is not in the span.  Raises ValueError when
-    the vectors are none or linearly dependent, whatever the target.
+    vector has a pivot, and the solution x is read off the pivot rows.  Each
+    unread equation is then checked exactly: its left side is x_c itself for
+    a coefficient 1 and x_c times the coefficient otherwise, summed only
+    when the equation has several unknowns, and it must equal the target's
+    entry (zero for a key in no vector, so a key of the target alone fails).
+    Returns the coefficient list, or None if the target is not in the span.
+    Raises ValueError when the vectors are none or linearly dependent,
+    whatever the target.
     """
     if not vectors:
         raise ValueError("need at least one vector")
     n = len(vectors)
     columns = (*vectors, target)
     # each vector's first key leads, so the pivots usually come from the first n equations
-    keys = dict.fromkeys(chain(*(islice(v, 1) for v in vectors), *columns))
+    keys = iter(dict.fromkeys(chain(*(islice(v, 1) for v in vectors), *columns)))
     equations = ({c: v[key] for c, v in enumerate(columns) if key in v} for key in keys)
     pivots, rhs_only = _echelon(equations, n)
     if len(pivots) < n:
         raise ValueError("vectors are linearly dependent")
     x = [pivots[c].get(n, _ZERO) for c in range(n)]
-    if rhs_only or any(
-        sum(x[c] * value for c, value in row.items() if c < n) != row.get(n, 0) for row in equations
-    ):
+    if rhs_only:
         return None
+    for key in keys:  # the keys _echelon left unread
+        terms = [x[c] if v[key] == 1 else x[c] * v[key] for c, v in enumerate(vectors) if key in v]
+        if (terms[0] if len(terms) == 1 else sum(terms)) != target.get(key, 0):
+            return None
     return x

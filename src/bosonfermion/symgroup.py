@@ -266,9 +266,15 @@ def h_coeff(lam1, lam) -> Fraction:
     """Rescaling constant of the edge adding one box to lam1.
 
     With the new box in row t+1 and column s+1, the value is a signed ratio
-    of products over the boxes directly above and directly to the left.
+    of products over the boxes directly above and directly to the left.  It
+    is computed once per normalised edge (lam1, lam) and cached; ``a_coeff``
+    and ``a_oracle`` both read it, and ``tilde_a`` never does.
     """
-    lam1, lam = as_partition(lam1), as_partition(lam)
+    return _h_coeff(as_partition(lam1), as_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _h_coeff(lam1: Partition, lam: Partition) -> Fraction:
     if lam not in ind_set(lam1):
         raise ValueError(f"{lam} does not cover {lam1}")
     row, col = added_box(lam1, lam)

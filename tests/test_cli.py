@@ -3,7 +3,15 @@ import json
 import pytest
 
 from bosonfermion import symgroup
-from bosonfermion.cli import MAX_FOCK_CHARGE, MAX_FOCK_INDEX, main, parse_partition, parse_sequence
+from bosonfermion.cli import (
+    MAX_COEFF_SIZE,
+    MAX_DET_K,
+    MAX_FOCK_CHARGE,
+    MAX_FOCK_INDEX,
+    main,
+    parse_partition,
+    parse_sequence,
+)
 from bosonfermion.partitions import ChargedSequence
 
 
@@ -118,6 +126,14 @@ def test_coeff_invalid_path(capsys):
     assert code == 2 and "error" in err
 
 
+def test_coeff_rejects_a_size_over_the_cap(capsys):
+    n = MAX_COEFF_SIZE + 1
+    path = ["--lam1", f"({n - 2})", "--lam", f"({n - 1})", "--mu", f"({n})"]
+    code, out, err = run(capsys, "coeff", *path)
+    assert code == 2 and out == ""
+    assert f"|mu| <= {MAX_COEFF_SIZE}" in err
+
+
 def test_complex_output(capsys):
     code, out, _ = run(capsys, "complex", "--lam", "(2)")
     assert code == 0
@@ -138,6 +154,19 @@ def test_resolve_dfp_without_rows_is_a_usage_error(capsys):
     code, out, err = run(capsys, "resolve", "--kind", "dfp", "--lam", "()", "--n", "0")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "n >= 1" in err
+
+
+@pytest.mark.parametrize("args", [["--lam", "()", "--k", str(MAX_DET_K + 1)], ["--lam", f"({MAX_DET_K + 1})"]])
+def test_det_rejects_a_k_over_the_cap(capsys, args):
+    code, out, err = run(capsys, "det", *args)
+    assert code == 2 and out == ""
+    assert f"k <= {MAX_DET_K}" in err
+
+
+def test_det_rejects_a_negative_k(capsys):
+    code, out, err = run(capsys, "det", "--lam", "()", "--k", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: k must be non-negative, got -1\n"
 
 
 def test_det_output(capsys):

@@ -97,3 +97,48 @@ small_integer_matrices = st.integers(1, 4).flatmap(
 def test_rank_matches_the_largest_nonzero_minor(m):
     rows = [{j: x for j, x in enumerate(row) if x} for row in m]
     assert rank(rows) == largest_nonzero_minor(m)
+
+
+def span_model(columns, target):
+    """Dense model of ``solve_in_span`` on integer columns over keys 0..5.
+
+    ValueError when the columns are dependent (no nonzero full minor), else
+    the solution of the first nonsingular square subsystem if it solves every
+    equation, else None.
+    """
+    n = len(columns)
+    a = [[col[k] for col in columns] for k in range(6)]
+    if largest_nonzero_minor(a) < n:
+        return ValueError
+    rows = next(r for r in combinations(range(6), n) if RationalMatrix([a[i] for i in r]).det())
+    x = RationalMatrix([a[i] for i in rows]).solve([target[i] for i in rows])
+    solved = RationalMatrix(a) @ RationalMatrix([[xi] for xi in x])
+    return x if solved.column(0) == [Fraction(t) for t in target] else None
+
+
+@st.composite
+def span_problems(draw):
+    """1-3 columns over 6 keys with entries -2..2, a target near their span, dict orders."""
+    entries = st.lists(st.integers(-2, 2), min_size=6, max_size=6)
+    columns = draw(st.lists(entries, min_size=1, max_size=3))
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(columns), max_size=len(columns)))
+    offset = draw(st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2]), min_size=6, max_size=6))
+    target = [sum(c * col[k] for c, col in zip(coeffs, columns)) + offset[k] for k in range(6)]
+    orders = [draw(st.permutations(range(6))) for _ in range(len(columns) + 1)]
+    return columns, target, orders
+
+
+@settings(max_examples=400, deadline=None)
+@given(span_problems())
+def test_solve_in_span_matches_a_dense_model(problem):
+    columns, target, orders = problem
+    sparse = [
+        {k: Fraction(col[k]) for k in order if col[k]}
+        for col, order in zip([*columns, target], orders)
+    ]
+    expected = span_model(columns, target)
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            solve_in_span(sparse[:-1], sparse[-1])
+    else:
+        assert solve_in_span(sparse[:-1], sparse[-1]) == expected

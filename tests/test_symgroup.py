@@ -3,11 +3,13 @@ from math import factorial
 
 import pytest
 
+from bosonfermion import symgroup
 from bosonfermion.partitions import (
     added_box,
     as_partition,
     content,
     dual,
+    ind_set,
     part,
     partitions_up_to,
     remove_box,
@@ -191,6 +193,21 @@ def test_h_examples():
     assert h_coeff((), (1,)) == 1
     with pytest.raises(ValueError):
         h_coeff((2,), (2,))
+
+
+def test_h_coeff_cache_returns_the_uncached_value():
+    edges = [(lam1, lam) for lam1 in partitions_up_to(7) for lam in ind_set(lam1)]
+    symgroup._h_coeff.cache_clear()
+    cold = [h_coeff(lam1, lam) for lam1, lam in edges]
+    warm = [h_coeff(lam1, lam) for lam1, lam in edges]
+    assert warm == cold
+    assert symgroup._h_coeff.cache_info().hits == len(edges)
+    # input that is not normalised shares the normalised edge
+    assert h_coeff((2, 1, 0), [3, 1]) == h_coeff([2, 1], (3, 1, 0, 0)) == h_coeff((2, 1), (3, 1))
+    # lru_cache does not cache the exception, so every call raises
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            h_coeff((2, 1, 0), (2, 1))
 
 
 # -- structure constants ----------------------------------------------------------
