@@ -33,8 +33,9 @@ MAX_FOCK_CHARGE = 1000
 # Fraction operations on growing entries (k = 60 takes about 1 s on a 2-vCPU
 # x86 host).
 MAX_DET_K = 60
-# Largest |mu| of ``coeff``: the oracle acts on the f^mu tableaux of mu, and
-# its time and memory grow with their number.
+# Largest |mu| of ``coeff``: the oracle acts on the tableaux of lam1, two
+# sizes below mu, and its time and memory grow with their number (the path
+# (5,4,2,1) -> (5,4,3,1) -> (5,4,3,2), |mu| = 14, takes 0.11 s and 26.5 MB).
 MAX_COEFF_SIZE = 14
 
 
@@ -257,6 +258,9 @@ def run_det(args) -> int:
 def run_verify(args) -> int:
     if args.max_size is not None and args.max_size < 0:
         raise CliError(f"--max-size must be non-negative, got {args.max_size}")
+    cap = SUITES[args.suite][2]
+    if args.max_size is not None and args.max_size > cap:
+        raise CliError(f"--max-size {args.max_size} exceeds the cap --max-size <= {cap} of suite {args.suite}")
     try:
         result = run_suite(args.suite, args.max_size)
     except (ValueError, RuntimeError) as exc:

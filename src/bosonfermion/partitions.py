@@ -308,12 +308,6 @@ class ChargedSequence:
             return False
         return x in self.head or x >= self.first_tail_value
 
-    def count_below(self, x: int) -> int:
-        """Number of entries strictly less than x."""
-        n = sum(1 for h in self.head if h < x)
-        tail_count = (x - 2 * self.charge - 1) // 2 - len(self.head)
-        return n + max(0, tail_count)
-
     def insert(self, x: int) -> tuple[int, "ChargedSequence"] | None:
         """Insert x, returning (number of entries below x, new sequence).
 

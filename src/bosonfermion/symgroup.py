@@ -10,10 +10,15 @@ diagonally by 1/d when the swap is not standard (|d| = 1), and otherwise by
     s . v_T  =  (1/d) v_T + ((d-1)/d) v_{T'},      T' = swapped tableau,
 
 after rescaling each basis vector by a constant c_T normalized to 1 on the
-row-major filling.  The module also computes the rescaling constant h
-attached to each box-adding edge and the structure constants of the
-restriction map on projectives, both in closed form and from first
-principles (the oracle).
+row-major filling.  ``_act`` is the one place this rule is written, and
+everything is keyed by content vector: the dense ``rep_action`` and
+``f_map`` index their rows and columns locally, largest content vector
+first.  The module also computes the rescaling constant h attached to each
+box-adding edge and the structure constants of the restriction map on
+projectives, both in closed form and from first principles (the oracle).
+The oracle reads only the tableaux of lam1, two sizes below mu: the image
+of cv under lam1 -> lam -> mu is cv + (c1, c2), with c1 and c2 the contents
+of the added boxes, and s_{n-1} acts on it through d = c2 - c1 alone.
 """
 
 from __future__ import annotations
@@ -91,30 +96,18 @@ def row_filling(shape: Partition) -> StandardTableau:
     return StandardTableau(shape, contents)
 
 
-@lru_cache(maxsize=None)
-def _index_of(shape: Partition) -> dict[tuple[int, ...], int]:
-    return {cv: i for i, cv in enumerate(_contents(shape))}
-
-
-@lru_cache(maxsize=None)
-def _extension(lam: Partition, mu: Partition) -> tuple[int, ...]:
-    """For each tableau of lam, the index of its extension among the tableaux of mu."""
-    c = content(added_box(lam, mu))
-    index = _index_of(mu)
-    return tuple(index[cv + (c,)] for cv in _contents(lam))
-
-
 def _swapped(cv: tuple[int, ...], i: int) -> tuple[int, ...]:
     """The content vector with entries i and i+1 exchanged."""
     return cv[: i - 1] + (cv[i], cv[i - 1]) + cv[i + 1 :]
 
 
-def _dense(rows, cols: int) -> RationalMatrix:
-    """Dense matrix of sparse rows of (column, value) pairs."""
-    out = [[Fraction(0)] * cols for _ in rows]
+def _dense(rows, column_cvs) -> RationalMatrix:
+    """Dense matrix of sparse rows of (content vector, value) pairs, columns in ``column_cvs`` order."""
+    index = {cv: col for col, cv in enumerate(column_cvs)}
+    out = [[Fraction(0)] * len(index) for _ in rows]
     for out_row, row in zip(out, rows):
-        for col, value in row:
-            out_row[col] = value
+        for cv, value in row:
+            out_row[index[cv]] = value
     return RationalMatrix(out)
 
 
@@ -153,75 +146,71 @@ def c_scale(t: StandardTableau) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _seminormal(d: int) -> tuple[Fraction, Fraction]:
-    # shared by every row with content difference d
+    # shared by every content vector with content difference d
     return Fraction(1, d), Fraction(d - 1, d)
 
 
-@lru_cache(maxsize=None)
-def _rep_rows(i: int, shape: Partition) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-    """Sparse rows of the i-th adjacent transposition: (column, value) pairs.
+def _act(i: int, cv: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """The i-th adjacent transposition on one basis vector: (content vector, value) pairs.
 
-    Each row has the diagonal entry 1/d, d = c_{i+1} - c_i, and, when the
-    swap stays standard (|d| != 1), the entry (d-1)/d at the swapped
-    tableau, so at most two nonzeros.
+    The diagonal entry is 1/d, d = c_{i+1} - c_i; when the swap stays
+    standard (|d| != 1) the swapped vector gets (d-1)/d.
     """
-    index = _index_of(shape)
-    rows = []
-    for t_idx, cv in enumerate(_contents(shape)):
-        d = cv[i] - cv[i - 1]
-        diagonal, off_diagonal = _seminormal(d)
-        row = [(t_idx, diagonal)]
-        if abs(d) != 1:
-            row.append((index[_swapped(cv, i)], off_diagonal))
-        rows.append(tuple(row))
-    return tuple(rows)
+    d = cv[i] - cv[i - 1]
+    diagonal, off_diagonal = _seminormal(d)
+    if abs(d) == 1:
+        return ((cv, diagonal),)
+    return ((cv, diagonal), (_swapped(cv, i), off_diagonal))
 
 
 def rep_action(i: int, shape) -> RationalMatrix:
     """Matrix of the i-th adjacent transposition in the rescaled basis.
 
-    Row t holds the expansion of the image of the t-th basis vector, so
-    composite actions multiply on the right.
+    Rows and columns follow the tableaux of the shape, largest content
+    vector first.  Row t holds the expansion of the image of the t-th basis
+    vector, so composite actions multiply on the right.
     """
     shape = as_partition(shape)
     n = sum(shape)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    rows = _rep_rows(i, shape)
-    return _dense(rows, len(rows))
+    cvs = _contents(shape)
+    return _dense([_act(i, cv) for cv in cvs], cvs)
 
 
 def f_map(lam, mu) -> RationalMatrix:
     """Inclusion sending a tableau of lam to its extension by the next entry.
 
-    Rows are indexed by tableaux of lam, columns by tableaux of mu.
+    The extension appends the content of the added box.  Rows are indexed
+    by tableaux of lam, columns by tableaux of mu, largest content vector
+    first.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     if mu not in ind_set(lam):
         raise ValueError(f"{mu} does not cover {lam}")
+    c, one = content(added_box(lam, mu)), Fraction(1)
+    return _dense([((cv + (c,), one),) for cv in _contents(lam)], _contents(mu))
+
+
+def _images(lam1, lam, mu) -> list[tuple[int, ...]]:
+    """For each tableau of lam1, the content vector of its image under lam1 -> lam -> mu."""
+    added = (content(added_box(lam1, lam)), content(added_box(lam, mu)))
+    return [cv + added for cv in _contents(lam1)]
+
+
+def _composite(lam1, lam, mu) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    """The composite inclusion lam1 -> lam -> mu, keyed by (row, image)."""
     one = Fraction(1)
-    return _dense([((col, one),) for col in _extension(lam, mu)], len(_contents(mu)))
+    return {(row, image): one for row, image in enumerate(_images(lam1, lam, mu))}
 
 
-def _path_columns(lam1, lam, mu) -> list[int]:
-    """For each tableau of lam1, the column of its image under the composite inclusion."""
-    through = _extension(lam, mu)
-    return [through[mid] for mid in _extension(lam1, lam)]
-
-
-def _composite(lam1, lam, mu) -> dict[tuple[int, int], Fraction]:
-    """The composite inclusion lam1 -> lam -> mu, keyed by (row, column)."""
-    one = Fraction(1)
-    return {(row, col): one for row, col in enumerate(_path_columns(lam1, lam, mu))}
-
-
-def _swapped_composite(lam1, lam, mu) -> dict[tuple[int, int], Fraction]:
-    """The composite inclusion followed by s_{n-1} on mu, keyed by (row, column)."""
-    s_rows = _rep_rows(sum(mu) - 1, mu)
+def _swapped_composite(lam1, lam, mu) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    """The composite inclusion followed by s_{n-1} on mu, keyed by (row, content vector)."""
+    i = sum(mu) - 1
     return {
-        (row, col): value
-        for row, image in enumerate(_path_columns(lam1, lam, mu))
-        for col, value in s_rows[image]
+        (row, cv): value
+        for row, image in enumerate(_images(lam1, lam, mu))
+        for cv, value in _act(i, image)
     }
 
 
@@ -359,11 +348,11 @@ def a_closed_expanded(lam1, lam, mu) -> Fraction:
 def a_oracle(lam1, lam, mu, branch: str) -> Fraction:
     """Structure constant recomputed from first principles.
 
-    Composes the inclusions as index maps, acts by the sparse rows of the
-    adjacent swap on the target module, decomposes the result exactly over
-    the composites (``square_coeffs`` in the square case, shared by the two
-    branches), and rescales by the h ratio.  The closed forms above are
-    never consulted.
+    Sends every tableau of lam1 to its image cv + (c1, c2) in mu, acts on
+    each image by the adjacent swap s_{n-1} (``_act``), decomposes the
+    result exactly over the composites, checking every equation
+    (``square_coeffs`` in the square case, shared by the two branches), and
+    rescales by the h ratio.  The closed forms above are never consulted.
     """
     lam1, lam, mu = _validate_path(lam1, lam, mu)
     square = len(path_branches(lam1, lam, mu, branch)) == 2

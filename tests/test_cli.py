@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bosonfermion import symgroup
+from bosonfermion import cli, symgroup
 from bosonfermion.cli import (
     MAX_COEFF_SIZE,
     MAX_DET_K,
@@ -13,6 +13,7 @@ from bosonfermion.cli import (
     parse_sequence,
 )
 from bosonfermion.partitions import ChargedSequence
+from bosonfermion.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -195,6 +196,18 @@ def test_verify_rejects_negative_size(capsys):
     code, out, err = run(capsys, "verify", "--suite", "bfhcl", "--max-size", "-1")
     assert code == 2 and out == ""
     assert "--max-size must be non-negative" in err
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_rejects_a_size_over_the_suite_cap(monkeypatch, capsys, suite):
+    def unreachable(*args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", unreachable)
+    cap = SUITES[suite][2]
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-size", str(cap + 1))
+    assert code == 2 and out == ""
+    assert f"--max-size <= {cap}" in err and suite in err
 
 
 def test_internal_failure_is_not_a_usage_error(monkeypatch):

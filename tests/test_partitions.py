@@ -160,8 +160,6 @@ def test_sequence_contains_and_positions():
     s = to_sequence((2, 1))  # (-2, 2, 6, 8, ...)
     assert -2 in s and 2 in s and 6 in s and 100 in s
     assert 0 not in s and 4 not in s and -4 not in s
-    assert s.count_below(6) == 2
-    assert s.count_below(7) == 3
     assert s.value(3) == 6
 
 
@@ -371,8 +369,7 @@ def inversions(values):
 
 @settings(max_examples=200)
 @given(sequences(), queries)
-def test_count_below_against_model(s, x):
-    assert s.count_below(x) == sum(1 for v in model(s) if v < x)
+def test_membership_against_model(s, x):
     assert (x in s) == (x in model(s))
 
 

@@ -281,6 +281,25 @@ def test_oracle_coefficients_solve_the_dense_system():
         assert f1 @ s == alpha * f1 + beta * f2, (lam1, lam, nu, mu)
 
 
+def test_oracle_reads_no_tableaux_above_lam1(monkeypatch):
+    # the images of the tableaux of lam1 carry the whole system, so the
+    # oracle needs no tableau of lam or mu
+    seen = []
+    contents = symgroup._contents
+
+    def recorded(shape):
+        seen.append(shape)
+        return contents(shape)
+
+    monkeypatch.setattr(symgroup, "_contents", recorded)
+    symgroup._square_decomposition.cache_clear()
+    lam1, lam, mu = (4, 3, 2, 1), (4, 3, 3, 1), (4, 3, 3, 2)
+    for branch in (LAM_BRANCH, NU_BRANCH):
+        assert a_oracle(lam1, lam, mu, branch) == a_coeff(lam1, lam, mu, branch)
+    assert (4, 3, 2, 1) in seen
+    assert max(sum(shape) for shape in seen) <= sum(mu) - 2
+
+
 def test_expanded_form_on_its_configuration():
     seen = 0
     for lam1, lam, mu in paths(8):
