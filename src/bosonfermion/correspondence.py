@@ -292,17 +292,15 @@ def tilde_a(lam1, lam, mu, branch: str) -> Fraction:
 
     The second branch is structurally 1; the first is the component of the
     linear solve at the column of the box added last (the one-corner case of
-    the shared solve in ``verify_bf_hcl``).  Only the factorial matrix C is
-    used: neither the closed form nor the oracle of
+    the shared solve in ``verify_bf_hcl``).  The path and its branches come
+    from ``symgroup.removal_path``, box geometry only; beyond that only the
+    factorial matrix C is used: neither the closed form nor the oracle of
     :mod:`bosonfermion.symgroup`.
     """
-    lam1, lam, mu = as_partition(lam1), as_partition(lam), as_partition(mu)
-    if lam1 not in res_set(lam) or lam not in res_set(mu):
-        raise ValueError(f"{lam1} -> {lam} -> {mu} is not a path of single box additions")
-    symgroup.path_branches(lam1, lam, mu, branch)
+    path = symgroup.removal_path(lam1, lam, mu, branch)
     if branch == NU_BRANCH:
         return Fraction(1)
-    return _lam_branch_solved(lam, mu, [lam1])[0]
+    return _lam_branch_solved(path.lam, path.mu, [path.lam1])[0]
 
 
 def verify_bf_hcl(mu) -> dict:
@@ -320,7 +318,7 @@ def verify_bf_hcl(mu) -> dict:
     for lam in sorted(res_set(mu)):
         corners = sorted(res_set(lam))
         for lam1, solved_lam in zip(corners, _lam_branch_solved(lam, mu, corners)):
-            for branch in symgroup.path_branches(lam1, lam, mu):
+            for branch in symgroup.removal_path(lam1, lam, mu).branches:
                 a = symgroup.a_coeff(lam1, lam, mu, branch)
                 oracle = symgroup.a_oracle(lam1, lam, mu, branch)
                 solved = solved_lam if branch == LAM_BRANCH else tilde_a(lam1, lam, mu, branch)

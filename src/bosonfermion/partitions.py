@@ -108,15 +108,6 @@ def added_box(smaller: Partition, larger: Partition) -> Box:
     raise AssertionError("unreachable")
 
 
-def share_row_or_column(b1: Box, b2: Box) -> bool:
-    """True when two boxes lie in one row or one column.
-
-    Two boxes added one after the other then form a domino, with one branch
-    of coefficients; otherwise they span a square, with two.
-    """
-    return b1[0] == b2[0] or b1[1] == b2[1]
-
-
 def union_columns(p: Partition, n: int) -> Partition:
     """Add one box to each of the first n rows (missing rows count as empty)."""
     if n < 0:

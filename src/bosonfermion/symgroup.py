@@ -16,6 +16,9 @@ everything is keyed by content vector: the dense ``rep_action`` and
 first.  The module also computes the rescaling constant h attached to each
 box-adding edge and the structure constants of the restriction map on
 projectives, both in closed form and from first principles (the oracle).
+``removal_path`` is the one check that lam1 -> lam -> mu adds one box at a
+time; it gives the two added boxes and the branches, and every coefficient
+route, here and in :mod:`bosonfermion.correspondence`, starts from it.
 The oracle reads only the tableaux of lam1, two sizes below mu: the image
 of cv under lam1 -> lam -> mu is cv + (c1, c2), with c1 and c2 the contents
 of the added boxes, and s_{n-1} acts on it through d = c2 - c1 alone.
@@ -26,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .partitions import (
+    Box,
     Partition,
     added_box,
     add_box,
@@ -37,7 +42,6 @@ from .partitions import (
     ind_set,
     removable_corners,
     remove_box,
-    share_row_or_column,
 )
 from .ratmat import RationalMatrix, solve_in_span
 
@@ -192,45 +196,73 @@ def f_map(lam, mu) -> RationalMatrix:
     return _dense([((cv + (c,), one),) for cv in _contents(lam)], _contents(mu))
 
 
-def _images(lam1, lam, mu) -> list[tuple[int, ...]]:
-    """For each tableau of lam1, the content vector of its image under lam1 -> lam -> mu."""
-    added = (content(added_box(lam1, lam)), content(added_box(lam, mu)))
-    return [cv + added for cv in _contents(lam1)]
+class RemovalPath(NamedTuple):
+    """A normalised path lam1 -> lam -> mu, its added boxes, and nu = lam1 + b2 (None for a domino)."""
+
+    lam1: Partition
+    lam: Partition
+    mu: Partition
+    b1: Box
+    b2: Box
+    nu: Partition | None
+
+    @property
+    def branches(self) -> tuple[str, ...]:
+        return (LAM_BRANCH,) if self.nu is None else (LAM_BRANCH, NU_BRANCH)
 
 
-def _composite(lam1, lam, mu) -> dict[tuple[int, tuple[int, ...]], Fraction]:
-    """The composite inclusion lam1 -> lam -> mu, keyed by (row, image)."""
+def removal_path(lam1, lam, mu, *wanted: str) -> RemovalPath:
+    """Check that lam1 -> lam -> mu adds one box at a time; return it with its boxes and nu.
+
+    The nu branch exists when the added boxes span a square, not when they
+    form a domino (one row or column, |c2 - c1| = 1).  Raise ValueError for a
+    non-path and for a ``wanted`` branch the path lacks.  Every coefficient
+    route reads this geometry and nothing else of the others.
+    """
+    lam1, lam, mu = as_partition(lam1), as_partition(lam), as_partition(mu)
+    try:
+        b1, b2 = added_box(lam1, lam), added_box(lam, mu)
+    except ValueError:
+        raise ValueError(f"{lam1} -> {lam} -> {mu} is not a path of single box additions") from None
+    nu = None if abs(content(b2) - content(b1)) == 1 else add_box(lam1, b2)
+    path = RemovalPath(lam1, lam, mu, b1, b2, nu)
+    for branch in wanted:
+        if branch not in (LAM_BRANCH, NU_BRANCH):
+            raise ValueError(f"unknown branch {branch!r}")
+        if branch not in path.branches:
+            raise ValueError("no second branch: the added boxes form a domino")
+    return path
+
+
+def _images(lam1, c1: int, c2: int) -> list[tuple[int, ...]]:
+    """For each tableau of lam1, the content vector of its image after adding boxes of contents c1, c2."""
+    return [cv + (c1, c2) for cv in _contents(lam1)]
+
+
+def _composite(lam1, c1: int, c2: int) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    """The composite inclusion adding boxes of contents c1 then c2, keyed by (row, image)."""
     one = Fraction(1)
-    return {(row, image): one for row, image in enumerate(_images(lam1, lam, mu))}
+    return {(row, image): one for row, image in enumerate(_images(lam1, c1, c2))}
 
 
-def _swapped_composite(lam1, lam, mu) -> dict[tuple[int, tuple[int, ...]], Fraction]:
-    """The composite inclusion followed by s_{n-1} on mu, keyed by (row, content vector)."""
-    i = sum(mu) - 1
+def _swapped_composite(lam1, c1: int, c2: int) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    """The composite inclusion followed by s_{n-1} on its target, keyed by (row, content vector)."""
+    i = sum(lam1) + 1
     return {
         (row, cv): value
-        for row, image in enumerate(_images(lam1, lam, mu))
+        for row, image in enumerate(_images(lam1, c1, c2))
         for cv, value in _act(i, image)
     }
 
 
-def _validate_path(lam1, lam, mu):
-    lam1, lam, mu = as_partition(lam1), as_partition(lam), as_partition(mu)
-    if lam not in ind_set(lam1) or mu not in ind_set(lam):
-        raise ValueError(f"{lam1} -> {lam} -> {mu} is not a path of single box additions")
-    return lam1, lam, mu
-
-
 @lru_cache(maxsize=None)
-def _square_decomposition(lam1, lam, nu, mu) -> tuple[Fraction, Fraction]:
-    # keyed by the normalised square, so both branches share one solve
-    coeffs = solve_in_span(
-        [_composite(lam1, lam, mu), _composite(lam1, nu, mu)],
-        _swapped_composite(lam1, lam, mu),
-    )
+def _oracle_solve(lam1: Partition, c1: int, c2: int) -> tuple[Fraction, ...]:
+    # both branches of a square share this solve; its second side adds the boxes in the other order
+    sides = [(c1, c2)] if abs(c2 - c1) == 1 else [(c1, c2), (c2, c1)]
+    coeffs = solve_in_span([_composite(lam1, *side) for side in sides], _swapped_composite(lam1, c1, c2))
     if coeffs is None:
-        raise RuntimeError("swapped composite is not in the span of the square composites")
-    return coeffs[0], coeffs[1]
+        raise RuntimeError("swapped composite is not in the span of the composites")
+    return tuple(coeffs)
 
 
 def square_coeffs(lam1, lam, nu, mu) -> tuple[Fraction, Fraction]:
@@ -238,17 +270,17 @@ def square_coeffs(lam1, lam, nu, mu) -> tuple[Fraction, Fraction]:
 
     Returns (alpha, beta) with  s . (f through lam)  =  alpha * (f through lam)
     + beta * (f through nu), solved exactly on the sparse composed maps: one
-    equation per nonzero entry, one row of s per tableau of lam1.  The solve
-    is cached per normalised square (lam1, lam, nu, mu), so the lam and the
-    nu branch of ``a_oracle`` share it; it uses no closed form and nothing
+    equation per nonzero entry, one row of s per tableau of lam1.  This is
+    the oracle's solve for the square, cached by (lam1, c1, c2) and shared
+    with both branches of ``a_oracle``; it uses no closed form and nothing
     of the collapsed complex.  A composite outside the span is a broken
     invariant and raises RuntimeError.
     """
-    lam1, lam, mu = _validate_path(lam1, lam, mu)
+    path = removal_path(lam1, lam, mu)
     nu = as_partition(nu)
-    if nu == lam or nu not in ind_set(lam1) or mu not in ind_set(nu):
-        raise ValueError(f"{lam1} -> {lam},{nu} -> {mu} is not a square")
-    return _square_decomposition(lam1, lam, nu, mu)
+    if nu != path.nu:
+        raise ValueError(f"{path.lam1} -> {path.lam},{nu} -> {path.mu} is not a square")
+    return _oracle_solve(path.lam1, content(path.b1), content(path.b2))
 
 
 def h_coeff(lam1, lam) -> Fraction:
@@ -278,24 +310,6 @@ def _h_coeff(lam1: Partition, lam: Partition) -> Fraction:
     return Fraction(-1 if s % 2 else 1) * arm / leg
 
 
-def path_branches(lam1, lam, mu, *wanted: str) -> tuple[str, ...]:
-    """The coefficient branches of the path lam1 -> lam -> mu.
-
-    The lam branch always exists; the nu branch exists when the two added
-    boxes span a square, not when they form a domino.  Raise ValueError for
-    a ``wanted`` branch that is not one of them.  The rule reads box
-    geometry only, so the coefficient routes that share it stay independent.
-    """
-    square = not share_row_or_column(added_box(lam1, lam), added_box(lam, mu))
-    found = (LAM_BRANCH, NU_BRANCH) if square else (LAM_BRANCH,)
-    for branch in wanted:
-        if branch not in (LAM_BRANCH, NU_BRANCH):
-            raise ValueError(f"unknown branch {branch!r}")
-        if branch not in found:
-            raise ValueError("no second branch: the added boxes form a domino")
-    return found
-
-
 def a_coeff(lam1, lam, mu, branch: str) -> Fraction:
     """Structure constant of the restriction map, in closed ratio form.
 
@@ -303,13 +317,12 @@ def a_coeff(lam1, lam, mu, branch: str) -> Fraction:
     divided by the content difference d; in the degenerate (domino) case the
     sign is +1 for a horizontal and -1 for a vertical domino.
     """
-    lam1, lam, mu = _validate_path(lam1, lam, mu)
-    square = len(path_branches(lam1, lam, mu, branch)) == 2
+    path = removal_path(lam1, lam, mu, branch)
     if branch == NU_BRANCH:
         return Fraction(1)
-    b1, b2 = added_box(lam1, lam), added_box(lam, mu)
-    ratio = h_coeff(lam, mu) / h_coeff(lam1, lam)
-    if square:
+    b1, b2 = path.b1, path.b2
+    ratio = h_coeff(path.lam, path.mu) / h_coeff(path.lam1, path.lam)
+    if path.nu is not None:
         return ratio / (content(b2) - content(b1))
     eps = 1 if b1[0] == b2[0] else -1
     return eps * ratio
@@ -321,8 +334,8 @@ def a_closed_expanded(lam1, lam, mu) -> Fraction:
     Valid only for the configuration with the first added box strictly above
     and strictly to the right of the second one.
     """
-    lam1, lam, mu = _validate_path(lam1, lam, mu)
-    b1, b2 = added_box(lam1, lam), added_box(lam, mu)
+    path = removal_path(lam1, lam, mu)
+    b1, b2, mu = path.b1, path.b2, path.mu
     if not (b1[0] < b2[0] and b1[1] > b2[1]):
         raise ValueError("expanded form requires the first box at the top right of the second")
     s1, t1 = b2[1] - 1, b1[0] - 1
@@ -350,20 +363,14 @@ def a_oracle(lam1, lam, mu, branch: str) -> Fraction:
 
     Sends every tableau of lam1 to its image cv + (c1, c2) in mu, acts on
     each image by the adjacent swap s_{n-1} (``_act``), decomposes the
-    result exactly over the composites, checking every equation
-    (``square_coeffs`` in the square case, shared by the two branches), and
-    rescales by the h ratio.  The closed forms above are never consulted.
+    result exactly over the composites, one for a domino and two for a
+    square, checking every equation, and rescales by the h ratio.  The one
+    solve is cached by (lam1, c1, c2), so the two branches of a square share
+    it.  The closed forms above are never consulted.
     """
-    lam1, lam, mu = _validate_path(lam1, lam, mu)
-    square = len(path_branches(lam1, lam, mu, branch)) == 2
-    h_base = h_coeff(lam1, lam)
-    if square:
-        nu = add_box(lam1, added_box(lam, mu))
-        alpha, beta = _square_decomposition(lam1, lam, nu, mu)
-        if branch == LAM_BRANCH:
-            return alpha * h_coeff(lam, mu) / h_base
-        return beta * h_coeff(nu, mu) / h_base
-    coeffs = solve_in_span([_composite(lam1, lam, mu)], _swapped_composite(lam1, lam, mu))
-    if coeffs is None:
-        raise RuntimeError("swapped composite is not proportional to the composite")
-    return coeffs[0] * h_coeff(lam, mu) / h_base
+    path = removal_path(lam1, lam, mu, branch)
+    coeffs = _oracle_solve(path.lam1, content(path.b1), content(path.b2))
+    h_base = h_coeff(path.lam1, path.lam)
+    if branch == LAM_BRANCH:
+        return coeffs[0] * h_coeff(path.lam, path.mu) / h_base
+    return coeffs[1] * h_coeff(path.nu, path.mu) / h_base

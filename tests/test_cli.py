@@ -79,6 +79,13 @@ def test_act_accepts_the_cap(capsys):
         assert code == 0 and "vector" in json.loads(out)
 
 
+@pytest.mark.parametrize("op", ["p_row", "p_col", "q_row", "q_col"])
+def test_act_rejects_a_strip_length_over_the_cap(capsys, op):
+    code, out, err = run(capsys, "act", "--op", f"{op}{MAX_FOCK_INDEX + 1}", "--on", "()")
+    assert code == 2 and out == ""
+    assert f"|index| <= {MAX_FOCK_INDEX}" in err
+
+
 @pytest.mark.parametrize("on", ["vac:{k}", "seq:{k}:"])
 def test_act_charge_cap(capsys, on):
     for k in (MAX_FOCK_CHARGE, -MAX_FOCK_CHARGE):
@@ -149,6 +156,19 @@ def test_resolve_output(capsys):
     assert code == 0 and "L(1)" in out
     code, out, _ = run(capsys, "resolve", "--kind", "dfp", "--lam", "(1,1)", "--n", "2")
     assert code == 0 and "oo" in out
+
+
+@pytest.mark.parametrize("kind", ["q", "dfp", "simple"])
+def test_resolve_rejects_an_n_over_the_cap(monkeypatch, capsys, kind):
+    def unreachable(*args):
+        raise AssertionError("the resolution was built")
+
+    for name in ("resolution_q", "resolution_df_p", "resolution_simple"):
+        monkeypatch.setattr(cli.quiver, name, unreachable)
+    cap = cli.MAX_RESOLVE_N
+    code, out, err = run(capsys, "resolve", "--kind", kind, "--lam", "()", "--n", str(cap + 1))
+    assert code == 2 and out == ""
+    assert f"--n <= {cap}" in err
 
 
 def test_resolve_dfp_without_rows_is_a_usage_error(capsys):
@@ -236,7 +256,7 @@ def test_oracle_outside_the_span_is_not_a_usage_error(monkeypatch):
     from bosonfermion import symgroup
 
     monkeypatch.setattr(symgroup, "solve_in_span", lambda vectors, target: None)
-    symgroup._square_decomposition.cache_clear()
+    symgroup._oracle_solve.cache_clear()
     # a square and a domino path: the oracle's decomposition fails on both
     for lam1, lam, mu in (("(1)", "(2)", "(2,1)"), ("()", "(1)", "(2)")):
         with pytest.raises(RuntimeError, match="swapped composite"):

@@ -189,7 +189,7 @@ def test_verify_solves_each_system_once(monkeypatch):
     monkeypatch.setattr(symgroup, "solve_in_span", counted_span)
     monkeypatch.setattr(RationalMatrix, "solve", counted_dense)
     for mu in partitions_up_to(7):
-        symgroup._square_decomposition.cache_clear()
+        symgroup._oracle_solve.cache_clear()
         calls.update(span=0, dense=0)
         assert verify_bf_hcl(mu)["passed"], mu
         # one oracle solve per removal path (square or domino), one

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from bosonfermion import symgroup
+from bosonfermion.correspondence import tilde_a
 from bosonfermion.partitions import (
     added_box,
     as_partition,
@@ -26,6 +27,7 @@ from bosonfermion.symgroup import (
     c_scale,
     f_map,
     h_coeff,
+    removal_path,
     rep_action,
     row_filling,
     square_coeffs,
@@ -230,6 +232,54 @@ def paths(max_size):
                 yield lam1, lam, mu
 
 
+def test_removal_path_against_a_row_model():
+    def model_box(small, big):
+        # the one row where big is one longer than small, or None
+        rows = [i for i in range(1, max(len(big), len(small)) + 1) if part(big, i) != part(small, i)]
+        if sum(big) != sum(small) + 1 or len(rows) != 1:
+            return None
+        return (rows[0], part(big, rows[0]))
+
+    by_size = {n: [p for p in partitions_up_to(7) if sum(p) == n] for n in range(8)}
+    checked = {"path": 0, "square": 0, "non-path": 0}
+    for n in range(6):
+        for lam1 in by_size[n]:
+            for lam in by_size[n] + by_size[n + 1]:
+                for mu in by_size[n + 1] + by_size[n + 2]:
+                    b1, b2 = model_box(lam1, lam), model_box(lam, mu)
+                    message = f"{lam1} -> {lam} -> {mu} is not a path of single box additions"
+                    if b1 is None or b2 is None:
+                        checked["non-path"] += 1
+                        for route in (removal_path, a_coeff, a_oracle, tilde_a):
+                            with pytest.raises(ValueError) as info:
+                                route(lam1, lam, mu, LAM_BRANCH)
+                            assert str(info.value) == message, route
+                        with pytest.raises(ValueError, match="not a path"):
+                            removal_path(lam1, lam, mu, "bogus")
+                        continue
+                    checked["path"] += 1
+                    path = removal_path(lam1, lam, mu)
+                    assert path[:5] == (lam1, lam, mu, b1, b2)
+                    domino = b1[0] == b2[0] or b1[1] == b2[1]
+                    assert domino == (abs(content(b2) - content(b1)) == 1)
+                    assert (path.nu is None) == domino
+                    with pytest.raises(ValueError, match="unknown branch 'bogus'"):
+                        removal_path(lam1, lam, mu, LAM_BRANCH, "bogus")
+                    if domino:
+                        assert path.branches == (LAM_BRANCH,)
+                        with pytest.raises(ValueError, match="no second branch"):
+                            removal_path(lam1, lam, mu, NU_BRANCH)
+                        continue
+                    checked["square"] += 1
+                    assert path.branches == (LAM_BRANCH, NU_BRANCH)
+                    assert removal_path(lam1, lam, mu, NU_BRANCH, LAM_BRANCH) == path
+                    nu = as_partition([part(lam1, i) + (i == b2[0]) for i in range(1, len(mu) + 1)])
+                    assert path.nu == nu
+    assert checked == {"path": 124, "square": 68, "non-path": 4621}
+    # input that is not normalised gives the normalised path
+    assert removal_path((1, 0), [2], (2, 1, 0)) == removal_path((1,), (2,), (2, 1))
+
+
 def test_oracle_equals_closed_form():
     for lam1, lam, mu in paths(8):
         b1, b2 = added_box(lam1, lam), added_box(lam, mu)
@@ -292,7 +342,7 @@ def test_oracle_reads_no_tableaux_above_lam1(monkeypatch):
         return contents(shape)
 
     monkeypatch.setattr(symgroup, "_contents", recorded)
-    symgroup._square_decomposition.cache_clear()
+    symgroup._oracle_solve.cache_clear()
     lam1, lam, mu = (4, 3, 2, 1), (4, 3, 3, 1), (4, 3, 3, 2)
     for branch in (LAM_BRANCH, NU_BRANCH):
         assert a_oracle(lam1, lam, mu, branch) == a_coeff(lam1, lam, mu, branch)
