@@ -22,8 +22,11 @@ from .partitions import (
     Partition,
     added_box,
     as_partition,
+    content,
     dual,
     part,
+    removable_corners,
+    remove_box,
     res_set,
     to_sequence,
 )
@@ -218,21 +221,16 @@ def wtq_tensor(lam) -> WtqComplex:
     if k == 0:
         return WtqComplex(lam, 0, [], RationalMatrix([]), {})
     copy_index = {-cols[j - 1] + j: j for j in range(1, k + 1)}
-    corner_index = {}
-    for l in range(1, k + 1):
-        if cols[l - 1] > part(cols, l + 1):
-            corner_index[-cols[l - 1] + l + 1] = l
+    corner_index = {content(box) + 1: box for box in removable_corners(lam)}
     components = []
     corner_columns = {}
     for i in range(-cols[0] + 1, k + 1):
         if i in copy_index:
             components.append((i, "copy", lam, copy_index[i]))
         elif i in corner_index:
-            l = corner_index[i]
-            smaller_cols = tuple(c - 1 if j == l - 1 else c for j, c in enumerate(cols))
-            label = dual(as_partition(smaller_cols))
-            components.append((i, "corner", label, l))
-            corner_columns[l] = [inv_factorial(row - i) for row in range(1, k + 1)]
+            box = corner_index[i]
+            components.append((i, "corner", remove_box(lam, box), box[1]))
+            corner_columns[box[1]] = [inv_factorial(row - i) for row in range(1, k + 1)]
     return WtqComplex(lam, k, components, matrix_c(lam, k), corner_columns)
 
 

@@ -11,6 +11,9 @@ and total size at once.
 The module also builds the finite projective resolutions used by the
 Serre-twist computations and checks them by graded Euler characteristics and
 by exactness of their sparse boundaries, with ranks from ``ratmat.rank``.
+The labels of the simple resolution are the removable vertical strips of
+:func:`bosonfermion.partitions.remove_vertical_strips`, and a limit
+projective counts the eta its tail interlaces below, by :func:`exists_hom`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .partitions import (
     lambda_t,
     part,
     partitions_bounded,
+    remove_vertical_strips,
     size,
     union_columns,
 )
@@ -150,26 +154,18 @@ def q_module_basis(lam, n: int, m: int) -> list[ArrowElement]:
 
 @dataclass(frozen=True)
 class LimitLabel:
-    """Projective label with an unbounded first row over a fixed lower tail."""
+    """Projective label with an unbounded first row over a fixed lower tail.
+
+    Its multiplicity at eta is 1 when the tail interlaces below eta,
+    eta_1 >= t_1 >= eta_2 >= ... >= t_{n-1} >= eta_n, and 0 otherwise;
+    eta then has at most n rows.
+    """
 
     tail: tuple[int, ...]  # n-1 weakly decreasing values, zeros kept
     n: int
 
     def multiplicity(self, eta) -> int:
-        eta = as_partition(eta)
-        if len(eta) > self.n:
-            return 0
-        if self.n == 1:
-            return 1
-        t = self.tail
-        if part(eta, 1) < t[0]:
-            return 0
-        for i in range(1, self.n):
-            upper = t[i - 1]
-            lower = t[i] if i < self.n - 1 else 0
-            if not upper >= part(eta, i + 1) >= lower:
-                return 0
-        return 1
+        return int(exists_hom(as_partition(self.tail), as_partition(eta)))
 
     def __repr__(self):
         return f"(oo,{','.join(str(x) for x in self.tail)})"
@@ -180,9 +176,6 @@ Boundary = tuple[int, int, ArrowElement, int]  # (source position, target positi
 
 @dataclass
 class Resolution:
-    kind: str
-    base: Partition
-    n: int
     terms: list[tuple[int, tuple]]  # (homological degree, labels), degree ascending
     boundaries: dict[int, tuple[Boundary, ...]] | None = None
 
@@ -236,19 +229,7 @@ def resolution_q(lam, n: int) -> Resolution:
     boundaries = {
         t: ((0, 0, ArrowElement(labels[t], labels[t - 1]), 1),) for t in range(1, n + 1)
     }
-    return Resolution("q", lam, n, terms, boundaries)
-
-
-def _remove_rows(padded: list[int], rows) -> Partition | None:
-    vals = list(padded)
-    for j in rows:
-        vals[j - 1] -= 1
-    if any(v < 0 for v in vals):
-        return None
-    try:
-        return as_partition(vals)
-    except ValueError:
-        return None
+    return Resolution(terms, boundaries)
 
 
 def resolution_df_p(mu, n: int) -> Resolution:
@@ -268,64 +249,50 @@ def resolution_df_p(mu, n: int) -> Resolution:
         raise ValueError(f"the dualizing twist needs n >= 1, got n={n}")
     padded = [part(mu, i) for i in range(1, n + 1)]
     if padded[n - 1] == 0:
-        return Resolution("df_p", mu, n, [(0, (LimitLabel(tuple(padded[: n - 1]), n),))])
+        return Resolution([(0, (LimitLabel(tuple(padded[: n - 1]), n),))])
     terms: list[tuple[int, tuple]] = []
     for k in range(n):
         tail = tuple(padded[: n - k - 1]) + tuple(v - 1 for v in padded[n - k:])
         terms.append((k, (LimitLabel(tail, n),)))
     terms.append((n, (as_partition([v - 1 for v in padded]),)))
-    return Resolution("df_p", mu, n, terms)
+    return Resolution(terms)
 
 
 def resolution_simple(lam, n: int) -> Resolution:
     """Inclusion-exclusion resolution of the simple module at lam.
 
-    Degree s carries the labels with one box removed from each row of an
-    s-subset of the nonzero rows.  Signed boundary maps are attached when
-    the shape has at most two nonzero rows.
+    Degree s carries the labels lam minus a vertical s-strip, one box off
+    each of s distinct rows, from :func:`remove_vertical_strips`, in the
+    order of their row sets; their number sets the cost.  Signed boundary
+    maps are attached when the shape has at most two nonzero rows: a label
+    maps to the label of its row set minus row j with sign (-1)^(index of j).
     """
     lam = as_partition(lam)
     if len(lam) > n:
         raise ValueError(f"{lam} has more than {n} rows")
     k = len(lam)
-    from itertools import combinations
-
-    terms: list[tuple[int, tuple]] = [(0, (lam,))]
-    subsets_by_degree: dict[int, list[tuple]] = {}
-    for s in range(1, k + 1):
-        labels = []
-        subsets = []
-        for subset in combinations(range(1, k + 1), s):
-            label = _remove_rows(list(lam), subset)
-            if label is not None:
-                labels.append(label)
-                subsets.append(subset)
-        if labels:
-            terms.append((s, tuple(labels)))
-            subsets_by_degree[s] = subsets
+    strips = [
+        sorted(
+            (tuple(i for i, row in enumerate(lam, 1) if part(label, i) < row), label)
+            for label in remove_vertical_strips(lam, s)
+        )
+        for s in range(k + 1)
+    ]
+    terms = [(s, tuple(label for _, label in degree)) for s, degree in enumerate(strips)]
     boundaries = None
     if k <= 2:
         boundaries = {}
-        position = {0: {(): 0}}
-        for s, subsets in subsets_by_degree.items():
-            position[s] = {subset: i for i, subset in enumerate(subsets)}
         for s in range(1, k + 1):
-            if s not in subsets_by_degree:
-                continue
+            position = {rows: (pos, label) for pos, (rows, label) in enumerate(strips[s - 1])}
             comps = []
-            source_labels = dict(terms)[s]
-            target_subsets = position.get(s - 1, {})
-            for pos, subset in enumerate(subsets_by_degree[s]):
-                for idx, j in enumerate(subset):
-                    smaller = tuple(x for x in subset if x != j)
-                    if smaller not in target_subsets:
-                        continue
-                    dst = target_subsets[smaller]
-                    dst_label = dict(terms)[s - 1][dst]
-                    sign = -1 if idx % 2 else 1
-                    comps.append((pos, dst, ArrowElement(source_labels[pos], dst_label), sign))
+            for pos, (rows, label) in enumerate(strips[s]):
+                for idx in range(len(rows)):
+                    smaller = rows[:idx] + rows[idx + 1:]
+                    if smaller in position:
+                        dst, target = position[smaller]
+                        comps.append((pos, dst, ArrowElement(label, target), -1 if idx % 2 else 1))
             boundaries[s] = tuple(comps)
-    return Resolution("simple", lam, n, terms, boundaries)
+    return Resolution(terms, boundaries)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 
 from bosonfermion.partitions import (
@@ -282,3 +284,59 @@ def test_limit_label_multiplicity():
     assert limit.multiplicity((1, 1, 1)) == 0  # first row below the tail start
     assert limit.multiplicity((5, 3, 1)) == 0  # second row exceeds the tail
     assert limit.multiplicity((5, 2, 1, 1)) == 0  # too many rows
+
+
+def _subset_model(lam):
+    """The simple resolution by s-subsets of rows, each losing one box."""
+    k = len(lam)
+    labels = {0: [((), lam)]}
+    for s in range(1, k + 1):
+        labels[s] = []
+        for rows in combinations(range(1, k + 1), s):
+            vals = [v - (i in rows) for i, v in enumerate(lam, start=1)]
+            if all(a >= b for a, b in zip(vals, vals[1:])) and min(vals) >= 0:
+                labels[s].append((rows, tuple(v for v in vals if v)))
+    terms = [(s, tuple(label for _, label in labels[s])) for s in range(k + 1)]
+    if k > 2:
+        return terms, None
+    boundaries = {}
+    for s in range(1, k + 1):
+        position = {rows: pos for pos, (rows, _) in enumerate(labels[s - 1])}
+        boundaries[s] = tuple(
+            (pos, position[smaller], ArrowElement(label, labels[s - 1][position[smaller]][1]), (-1) ** idx)
+            for pos, (rows, label) in enumerate(labels[s])
+            for idx, j in enumerate(rows)
+            if (smaller := tuple(x for x in rows if x != j)) in position
+        )
+    return terms, boundaries
+
+
+def test_resolution_simple_against_a_subset_model():
+    for lam in partitions_bounded(5, 10):
+        terms, boundaries = _subset_model(lam)
+        for n in range(len(lam), 6):
+            res = resolution_simple(lam, n)
+            assert res.terms == terms, (lam, n)
+            assert res.boundaries == boundaries, (lam, n)
+    column = resolution_simple((1,) * 200, 200)
+    assert column.terms == [(s, ((1,) * (200 - s),)) for s in range(201)]
+
+
+def test_limit_label_multiplicity_against_a_row_model():
+    tails = [
+        t
+        for m in range(4)
+        for t in product(range(7), repeat=m)
+        if all(a >= b for a, b in zip(t, t[1:]))
+    ]
+    etas = list(partitions_up_to(10))
+    for tail in tails:
+        n = len(tail) + 1
+        limit = LimitLabel(tail, n)
+        for eta in etas:
+            rows = [eta[i] if i < len(eta) else 0 for i in range(max(n, len(eta)))]
+            # eta_1 >= t_1 >= eta_2 >= ... >= t_{n-1} >= eta_n, nothing below row n
+            want = len(eta) <= n and all(
+                rows[i] >= tail[i] >= rows[i + 1] for i in range(n - 1)
+            )
+            assert limit.multiplicity(eta) == int(want), (tail, eta)
