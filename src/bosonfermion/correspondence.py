@@ -18,12 +18,14 @@ from fractions import Fraction
 from math import factorial
 
 from . import symgroup
+from .fock import FockVector, s_n_op
 from .partitions import (
     Partition,
     added_box,
     as_partition,
     content,
     dual,
+    lambda_t,
     part,
     removable_corners,
     remove_box,
@@ -234,35 +236,32 @@ def wtq_tensor(lam) -> WtqComplex:
     return WtqComplex(lam, k, components, matrix_c(lam, k), corner_columns)
 
 
-def _g_vectors(lam: Partition, corners, k: int) -> list[list[Fraction]]:
+def _g_vectors(lam: Partition, anchors, k: int) -> list[list[Fraction]]:
     """Chain-map solutions for several corners of lam, in one elimination of C.
 
     Each corner contributes one right-hand side: inverse factorials measured
-    from its window index.  ``corners`` are validated partitions lam1 below
-    lam; ``k`` is at least the column count of lam.
+    from its window index ``content(b1) + 1``, with b1 the corner box; the
+    ``anchors`` are these indices.  ``k`` is at least the column count of lam.
     """
-    if not corners:
+    if not anchors:
         return []
-    cols = dual(lam)
-    anchors = []
-    for lam1 in corners:
-        j1 = added_box(lam1, lam)[1]
-        anchors.append(-cols[j1 - 1] + j1 + 1)
     rhs = [[-inv_factorial(i - anchor) for anchor in anchors] for i in range(1, k + 1)]
     solutions = matrix_c(lam, k).solve(RationalMatrix(rhs))
     return [solutions.column(c) for c in range(len(anchors))]
 
 
-def _lam_branch_solved(lam: Partition, mu: Partition, corners) -> list[Fraction]:
-    """The solved lam-branch coefficient of each path lam1 -> lam -> mu.
+def _lam_branch_solved(paths) -> list[Fraction]:
+    """The solved lam-branch coefficient of each of ``paths``, removal paths sharing lam and mu.
 
-    All corners lam1 of lam share the (lam, mu) edge, hence the window of
-    copies and the matrix C: one solve serves them all, and each reads the
-    component at the column j0 of the box added last.
+    They share the window of copies, max(lam_1, j0), and the matrix C: one
+    solve serves them all, and each reads the component at the column j0 of
+    the box b2 added last.  Both boxes come from the paths.
     """
-    j0 = added_box(lam, mu)[1]
-    copies = max(len(dual(lam)), j0)
-    return [g[j0 - 1] for g in _g_vectors(lam, corners, copies)]
+    if not paths:
+        return []
+    lam, j0 = paths[0].lam, paths[0].b2[1]
+    anchors = [content(path.b1) + 1 for path in paths]
+    return [g[j0 - 1] for g in _g_vectors(lam, anchors, max(lam[0], j0))]
 
 
 def g_vector(lam, lam1, copies: int | None = None) -> list[Fraction]:
@@ -278,11 +277,10 @@ def g_vector(lam, lam1, copies: int | None = None) -> list[Fraction]:
     lam, lam1 = as_partition(lam), as_partition(lam1)
     if lam1 not in res_set(lam):
         raise ValueError(f"{lam1} is not obtained from {lam} by removing a corner")
-    cols = dual(lam)
-    k = len(cols) if copies is None else copies
-    if k < len(cols):
+    k = lam[0] if copies is None else copies
+    if k < lam[0]:
         raise ValueError(f"copies={copies} is smaller than the column count of {lam}")
-    return _g_vectors(lam, [lam1], k)[0]
+    return _g_vectors(lam, [content(added_box(lam1, lam)) + 1], k)[0]
 
 
 def tilde_a(lam1, lam, mu, branch: str) -> Fraction:
@@ -290,7 +288,7 @@ def tilde_a(lam1, lam, mu, branch: str) -> Fraction:
 
     The second branch is structurally 1; the first is the component of the
     linear solve at the column of the box added last (the one-corner case of
-    the shared solve in ``verify_bf_hcl``).  The path and its branches come
+    the shared solve in ``verify_bf_hcl``).  The path and its boxes come
     from ``symgroup.removal_path``, box geometry only; beyond that only the
     factorial matrix C is used: neither the closed form nor the oracle of
     :mod:`bosonfermion.symgroup`.
@@ -298,39 +296,47 @@ def tilde_a(lam1, lam, mu, branch: str) -> Fraction:
     path = symgroup.removal_path(lam1, lam, mu, branch)
     if branch == NU_BRANCH:
         return Fraction(1)
-    return _lam_branch_solved(path.lam, path.mu, [path.lam1])[0]
+    return _lam_branch_solved([path])[0]
+
+
+def check_path(path: symgroup.RemovalPath, solved_lam: Fraction) -> list[dict]:
+    """One row per branch of the path: the closed ``a``, the oracle and the solved value.
+
+    ``solved_lam`` is the solved lam branch; the nu branch asks ``tilde_a``.
+    The values are ``format_fraction`` strings, and ``pass`` is their exact equality.
+    """
+    rows = []
+    for branch in path.branches:
+        a = symgroup.a_coeff(path.lam1, path.lam, path.mu, branch)
+        oracle = symgroup.a_oracle(path.lam1, path.lam, path.mu, branch)
+        solved = solved_lam if branch == LAM_BRANCH else tilde_a(path.lam1, path.lam, path.mu, branch)
+        rows.append(
+            {
+                "branch": branch,
+                "a": format_fraction(a),
+                "a_oracle": format_fraction(oracle),
+                "a_tilde": format_fraction(solved),
+                "pass": a == oracle == solved,
+            }
+        )
+    return rows
 
 
 def verify_bf_hcl(mu) -> dict:
-    """Check the three coefficient computations against each other under mu.
+    """Run ``check_path`` on every length-two removal path below mu; each row adds lam1 and lam.
 
-    For every length-two removal path below mu and every branch, the solved
-    coefficient, the closed ratio form, and the representation-theoretic
-    oracle must agree exactly.  The solved side eliminates C once per
-    (lam, mu) edge for all corners of lam; the oracle solves each square
-    once for both branches.  Neither route reads the other or the closed
-    form.
+    The paths of each (lam, mu) edge are built first, and the solved side
+    eliminates C once per edge for all of them; the oracle solves each path
+    once for both branches.  Every route reads its boxes from the path and
+    nothing of the other routes.
     """
     mu = as_partition(mu)
     cases = []
     for lam in sorted(res_set(mu)):
-        corners = sorted(res_set(lam))
-        for lam1, solved_lam in zip(corners, _lam_branch_solved(lam, mu, corners)):
-            for branch in symgroup.removal_path(lam1, lam, mu).branches:
-                a = symgroup.a_coeff(lam1, lam, mu, branch)
-                oracle = symgroup.a_oracle(lam1, lam, mu, branch)
-                solved = solved_lam if branch == LAM_BRANCH else tilde_a(lam1, lam, mu, branch)
-                cases.append(
-                    {
-                        "lam1": list(lam1),
-                        "lam": list(lam),
-                        "branch": branch,
-                        "a": format_fraction(a),
-                        "a_oracle": format_fraction(oracle),
-                        "a_tilde": format_fraction(solved),
-                        "pass": a == oracle == solved,
-                    }
-                )
+        paths = [symgroup.removal_path(lam1, lam, mu) for lam1 in sorted(res_set(lam))]
+        for path, solved_lam in zip(paths, _lam_branch_solved(paths)):
+            for row in check_path(path, solved_lam):
+                cases.append({"lam1": list(path.lam1), "lam": list(lam), **row})
     return {"mu": list(mu), "cases": cases, "passed": all(c["pass"] for c in cases)}
 
 
@@ -356,9 +362,6 @@ def sn_bridge_holds(lam, n: int) -> bool:
     The signed sum of the charge sequences of the drop labels must equal the
     even-generator partial sum applied to the sequence of lam, exactly.
     """
-    from .fock import FockVector, s_n_op
-    from .partitions import lambda_t
-
     lam = as_partition(lam)
     if len(lam) > n:
         raise ValueError(f"{lam} has more than {n} rows")

@@ -144,21 +144,23 @@ def partitions_of(n: int):
     """
     if n < 0:
         return
-    yield from _partitions_of(n)
+    yield from _partitions_of(n, n)
 
 
 @lru_cache(maxsize=None)
-def _partitions_of(n: int) -> tuple[Partition, ...]:
+def _partitions_of(n: int, rows: int) -> tuple[Partition, ...]:
     out = []
 
-    def rec(remaining, cap, prefix):
+    def rec(remaining, cap, rows_left, prefix):
         if remaining == 0:
             out.append(prefix)
             return
         for first in range(min(remaining, cap), 0, -1):
-            rec(remaining - first, first, prefix + (first,))
+            if remaining > first * rows_left:
+                break  # the rows left, each at most first, cannot hold the rest
+            rec(remaining - first, first, rows_left - 1, prefix + (first,))
 
-    rec(n, n, ())
+    rec(n, n, rows, ())
     return tuple(out)
 
 
@@ -169,10 +171,14 @@ def partitions_up_to(max_size: int):
 
 
 def partitions_bounded(max_rows: int, max_size: int):
-    """All partitions with at most ``max_rows`` rows and size at most ``max_size``."""
-    for p in partitions_up_to(max_size):
-        if len(p) <= max_rows:
-            yield p
+    """All partitions with at most ``max_rows`` rows and size at most ``max_size``.
+
+    In the order of :func:`partitions_up_to`, and enumerated under the row bound.
+    """
+    if max_rows < 0:
+        return
+    for n in range(max_size + 1):
+        yield from _partitions_of(n, min(max_rows, n))
 
 
 # ---------------------------------------------------------------------------

@@ -231,32 +231,21 @@ def removal_path(lam1, lam, mu, *wanted: str) -> RemovalPath:
     return path
 
 
-def _images(lam1, c1: int, c2: int) -> list[tuple[int, ...]]:
-    """For each tableau of lam1, the content vector of its image after adding boxes of contents c1, c2."""
-    return [cv + (c1, c2) for cv in _contents(lam1)]
-
-
-def _composite(lam1, c1: int, c2: int) -> dict[tuple[int, tuple[int, ...]], Fraction]:
-    """The composite inclusion adding boxes of contents c1 then c2, keyed by (row, image)."""
-    one = Fraction(1)
-    return {(row, image): one for row, image in enumerate(_images(lam1, c1, c2))}
-
-
-def _swapped_composite(lam1, c1: int, c2: int) -> dict[tuple[int, tuple[int, ...]], Fraction]:
-    """The composite inclusion followed by s_{n-1} on its target, keyed by (row, content vector)."""
-    i = sum(lam1) + 1
-    return {
-        (row, cv): value
-        for row, image in enumerate(_images(lam1, c1, c2))
-        for cv, value in _act(i, image)
-    }
-
-
 @lru_cache(maxsize=None)
 def _oracle_solve(lam1: Partition, c1: int, c2: int) -> tuple[Fraction, ...]:
-    # both branches of a square share this solve; its second side adds the boxes in the other order
+    """Decompose s_{n-1} on the image cv + (c1, c2) of every tableau cv of lam1 over the composites.
+
+    The composites send row cv to cv + (c1, c2) and, for a square, to the
+    other side cv + (c2, c1); entries are keyed by (row, content vector).
+    Every equation is checked, and both branches of a square share the solve.
+    """
     sides = [(c1, c2)] if abs(c2 - c1) == 1 else [(c1, c2), (c2, c1)]
-    coeffs = solve_in_span([_composite(lam1, *side) for side in sides], _swapped_composite(lam1, c1, c2))
+    cvs, i, one = _contents(lam1), sum(lam1) + 1, Fraction(1)
+    composites = [{(row, cv + side): one for row, cv in enumerate(cvs)} for side in sides]
+    swapped = {
+        (row, image): value for row, cv in enumerate(cvs) for image, value in _act(i, cv + (c1, c2))
+    }
+    coeffs = solve_in_span(composites, swapped)
     if coeffs is None:
         raise RuntimeError("swapped composite is not in the span of the composites")
     return tuple(coeffs)

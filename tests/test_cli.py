@@ -353,3 +353,49 @@ def test_every_suite_runs_and_passes_small():
         result = run_suite(name, 3)
         assert result.cases > 0, name
         assert result.passed, (name, result.failures[:3])
+
+
+def test_coeff_branches_are_the_sweep_rows(capsys):
+    # coeff and the bfhcl sweep check a path with the same function
+    from bosonfermion.correspondence import verify_bf_hcl
+    from bosonfermion.partitions import partitions_up_to
+
+    paths = 0
+    for mu in partitions_up_to(6):
+        rows = {}
+        for case in verify_bf_hcl(mu)["cases"]:
+            key = (cli.label_text(case.pop("lam1")), cli.label_text(case.pop("lam")))
+            assert case.pop("pass") is True
+            rows.setdefault(key, []).append(case)
+        for (lam1, lam), branches in rows.items():
+            path = ["--lam1", lam1, "--lam", lam, "--mu", cli.label_text(mu)]
+            code, out, _ = run(capsys, "coeff", *path, "--json")
+            assert code == 0 and json.loads(out)["branches"] == branches, (lam1, lam, mu)
+            paths += 1
+    assert paths == 68
+
+
+def test_resolve_rejects_a_simple_resolution_over_the_label_cap(monkeypatch, capsys):
+    built = []
+
+    def unreachable(*args):
+        raise AssertionError("the resolution was built")
+
+    def recorded(lam, n):
+        built.append((lam, n))
+        return cli.quiver.Resolution([(0, (lam,))])
+
+    monkeypatch.setattr(cli.quiver, "resolution_simple", unreachable)
+    staircase = "(" + ",".join(str(k) for k in range(15, 0, -1)) + ")"
+    code, out, err = run(capsys, "resolve", "--kind", "simple", "--lam", staircase, "--n", "15")
+    assert code == 2 and out == ""
+    assert f"has {2 ** 15} labels" in err and str(cli.MAX_SIMPLE_LABELS) in err
+    assert cli.MAX_SIMPLE_LABELS == 2 ** 14
+    monkeypatch.setattr(cli.quiver, "resolution_simple", recorded)
+    staircase = "(" + ",".join(str(k) for k in range(14, 0, -1)) + ")"
+    code, out, _ = run(capsys, "resolve", "--kind", "simple", "--lam", staircase, "--n", "14")
+    assert code == 0 and built == [(tuple(range(14, 0, -1)), 14)]
+    # the count is the product of (multiplicity + 1): 200 rows of 1 have 201 labels
+    ones = "(" + ",".join(["1"] * 200) + ")"
+    code, out, _ = run(capsys, "resolve", "--kind", "simple", "--lam", ones, "--n", "200")
+    assert code == 0 and built[-1] == ((1,) * 200, 200)

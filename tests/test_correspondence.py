@@ -208,3 +208,16 @@ def test_tilde_a_is_one_corner_of_the_shared_solve():
             solved = tilde_a(lam1, lam, mu, LAM_BRANCH)
             assert solved == g_vector(lam, lam1, copies)[j0 - 1], (lam1, lam, mu)
             assert report[(lam1, lam, LAM_BRANCH)]["a_tilde"] == format_fraction(solved)
+
+
+def test_sweep_reads_boxes_from_the_removal_path(monkeypatch):
+    # the solved route takes b1 and b2 from symgroup.removal_path, so the
+    # sweep never asks correspondence for an added box of its own
+    from bosonfermion import correspondence
+
+    def unreachable(*args):
+        raise AssertionError("the solved route computed an added box")
+
+    monkeypatch.setattr(correspondence, "added_box", unreachable)
+    for mu in partitions_up_to(7):
+        assert verify_bf_hcl(mu)["passed"], mu

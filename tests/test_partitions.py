@@ -231,6 +231,15 @@ def test_partitions_of_against_reference():
     assert list(partitions_of(-1)) == []
 
 
+def test_partitions_bounded_against_the_filter_model():
+    from bosonfermion.partitions import partitions_bounded
+
+    for rows in range(-1, 7):
+        for max_size in range(15):
+            model = [p for n in range(max_size + 1) for p in reference_partitions(n) if len(p) <= rows]
+            assert list(partitions_bounded(rows, max_size)) == model, (rows, max_size)
+
+
 # -- normalize --------------------------------------------------------------
 
 def test_normalize_examples():
