@@ -1,6 +1,6 @@
 """Exact-arithmetic Fock space combinatorics and coefficient verification.
 
-The package hosts five layers: partition and charged-sequence combinatorics,
+The package hosts six layers: partition and charged-sequence combinatorics,
 the fermionic Fock space with its Clifford generator action, the bosonic
 Fock space with box and strip operators, symmetric group irreducibles in the
 rescaled content eigenbasis, the interlacing path algebra with its
@@ -8,88 +8,4 @@ truncations and resolutions, and the exact linear algebra tying the two Fock
 spaces together coefficient by coefficient.
 """
 
-from .partitions import (
-    ChargedSequence,
-    Partition,
-    as_partition,
-    dual,
-    energy,
-    from_sequence,
-    ind_set,
-    normalize,
-    res_set,
-    to_sequence,
-    union_columns,
-)
-from .formal import FormalSum
-from .fock import (
-    FockVector,
-    apply_psi,
-    apply_psi_star,
-    apply_t,
-    apply_word,
-    g_p_trunc,
-    g_q_trunc,
-    s_bar_n,
-    s_n_op,
-    tau,
-    vacuum,
-)
-from .schur import (
-    SchurVector,
-    apply_p,
-    apply_p_col,
-    apply_p_row,
-    apply_q,
-    apply_q_col,
-    apply_q_row,
-    schur_basis,
-)
-from .symgroup import (
-    LAM_BRANCH,
-    NU_BRANCH,
-    StandardTableau,
-    a_coeff,
-    a_oracle,
-    c_scale,
-    f_map,
-    h_coeff,
-    rep_action,
-    square_coeffs,
-    tableaux,
-)
-from .quiver import (
-    ArrowElement,
-    FElement,
-    Resolution,
-    Truncation,
-    exists_hom,
-    graded_euler_check,
-    multiply,
-    projective_basis,
-    q_module_basis,
-    rank_exactness,
-    resolution_df_p,
-    resolution_q,
-    resolution_simple,
-    serre_bar_k0,
-)
-from .correspondence import (
-    WtqComplex,
-    cauchy_det,
-    det_a_closed,
-    f_closed,
-    f_sum,
-    g_vector,
-    matrix_a_closed,
-    matrix_b,
-    matrix_c,
-    subclaim_identity,
-    tilde_a,
-    verify_bf_hcl,
-    wtq_tensor,
-)
-from .ratmat import RationalMatrix
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -26,9 +26,10 @@ MAX_FOCK_INDEX = 1000
 # Largest |charge| of an ``act --on`` sequence, for the same reason: a tail
 # removal from a charge-k sequence materialises about |k| head entries.
 MAX_FOCK_CHARGE = 1000
-# Largest k of ``det``: C is k x k and its Bareiss determinant takes about k^3
-# Fraction operations on growing entries (k = 60 takes about 1 s on a 2-vCPU
-# x86 host).
+# Largest k of ``det`` and largest first row of ``complex``: C is k x k, its
+# Bareiss determinant takes about k^3 Fraction operations on growing entries
+# (k = 60 takes about 1 s on a 2-vCPU x86 host), and ``complex`` builds and
+# prints C with k = lam_1 (lam_1 = 400 printed 20 MB).
 MAX_DET_K = 60
 # Largest |mu| of ``coeff``: the oracle acts on the tableaux of lam1, two
 # sizes below mu, and its time and memory grow with their number (the path
@@ -176,6 +177,8 @@ def run_coeff(args) -> int:
 
 def run_complex(args) -> int:
     lam = parse_partition(args.lam)
+    if lam and lam[0] > MAX_DET_K:
+        raise CliError(f"lam_1 = {lam[0]} exceeds the cap lam_1 <= {MAX_DET_K}")
     w = co.wtq_tensor(lam)
     if args.json:
         print(json.dumps(w.to_json()))

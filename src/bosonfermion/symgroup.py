@@ -1,9 +1,11 @@
 """Symmetric group irreducibles in the rescaled content eigenbasis.
 
 Basis vectors are indexed by standard tableaux, simultaneous eigenvectors of
-the Jucys-Murphy elements.  A tableau is stored as its content vector
-(c_1, ..., c_n), the eigenvalues it determines; extending by a box appends
-that box's content and the swap s_i exchanges c_i and c_{i+1}.  Each adjacent
+the Jucys-Murphy elements.  A tableau is its content vector (c_1, ..., c_n),
+the eigenvalues it determines; extending by a box appends that box's content
+and the swap s_i exchanges c_i and c_{i+1}.  ``tableaux`` is the one
+enumerator, and the one cache, of the content vectors of a shape;
+``tableau_rows`` is the only view of a tableau as rows.  Each adjacent
 transposition acts through the content difference d = c_{i+1} - c_i:
 diagonally by 1/d when the swap is not standard (|d| = 1), and otherwise by
 
@@ -26,7 +28,6 @@ of the added boxes, and s_{n-1} acts on it through d = c2 - c1 alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -48,55 +49,36 @@ LAM_BRANCH = "lam"
 NU_BRANCH = "nu"
 
 
-@dataclass(frozen=True)
-class StandardTableau:
-    """A standard tableau stored as its content vector.
-
-    ``contents[v - 1]`` is the content of the box holding v; the vector
-    determines the tableau (Okounkov-Vershik).
-    """
-
-    shape: Partition
-    contents: tuple[int, ...]
-
-    def content_vector(self) -> tuple[int, ...]:
-        return self.contents
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Entries row by row: v goes in the addable box of content c_v."""
-        rows: list[list[int]] = [[] for _ in self.shape]
-        for v, c in enumerate(self.contents):
-            # the addable box of content c is the next box down diagonal c
-            rows[self.contents[:v].count(c) + max(-c, 0)].append(v + 1)
-        return tuple(tuple(row) for row in rows)
-
-
 @lru_cache(maxsize=None)
-def _contents(shape: Partition) -> tuple[tuple[int, ...], ...]:
-    """Content vectors of the standard tableaux of the shape, largest first."""
+def tableaux(shape: Partition) -> tuple[tuple[int, ...], ...]:
+    """Content vectors of the standard tableaux of the shape, largest first.
+
+    ``cv[v - 1]`` is the content of the box holding v; the vector determines
+    the tableau (Okounkov-Vershik).
+    """
+    shape = as_partition(shape)
     if not shape:
         return ((),)
     out = [
         cv + (content(corner),)
         for corner in removable_corners(shape)
-        for cv in _contents(remove_box(shape, corner))
+        for cv in tableaux(remove_box(shape, corner))
     ]
     return tuple(sorted(out, reverse=True))
 
 
-@lru_cache(maxsize=None)
-def tableaux(shape: Partition) -> tuple[StandardTableau, ...]:
-    """All standard tableaux of the shape, largest content vector first."""
-    shape = as_partition(shape)
-    return tuple(StandardTableau(shape, cv) for cv in _contents(shape))
+def tableau_rows(cv: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Entries row by row: v goes in the addable box of content c_v."""
+    rows: list[list[int]] = [[] for _ in range(1 - min(cv, default=1))]
+    for v, c in enumerate(cv):
+        # the addable box of content c is the next box down diagonal c
+        rows[cv[:v].count(c) + max(-c, 0)].append(v + 1)
+    return tuple(tuple(row) for row in rows)
 
 
-def row_filling(shape: Partition) -> StandardTableau:
-    """The tableau filled 1..n left to right along consecutive rows."""
-    shape = as_partition(shape)
-    contents = tuple(c - r for r, length in enumerate(shape, start=1) for c in range(1, length + 1))
-    return StandardTableau(shape, contents)
+def row_filling(shape: Partition) -> tuple[int, ...]:
+    """Content vector of the tableau filled 1..n left to right along consecutive rows."""
+    return tuple(c - r for r, length in enumerate(as_partition(shape), start=1) for c in range(1, length + 1))
 
 
 def _swapped(cv: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -122,7 +104,7 @@ def _scale_table(shape: Partition) -> dict[tuple[int, ...], Fraction]:
     with content difference d <= -2, exactly the swaps that raise the
     Coxeter length by one, and multiplies by d/(d-1) along each.
     """
-    table = {row_filling(shape).contents: Fraction(1)}
+    table = {row_filling(shape): Fraction(1)}
     queue = list(table)
     for cv in queue:  # grows while it is read, so the walk is breadth-first
         for i in range(1, len(cv)):
@@ -137,14 +119,14 @@ def _scale_table(shape: Partition) -> dict[tuple[int, ...], Fraction]:
             else:
                 table[other] = value
                 queue.append(other)
-    total = len(_contents(shape))
+    total = len(tableaux(shape))
     if len(table) != total:
         raise RuntimeError(f"rescaling constants reach {len(table)} of {total} tableaux")
     return table
 
 
-def c_scale(t: StandardTableau) -> Fraction:
-    return _scale_table(as_partition(t.shape))[t.contents]
+def c_scale(shape, cv: tuple[int, ...]) -> Fraction:
+    return _scale_table(as_partition(shape))[cv]
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +159,7 @@ def rep_action(i: int, shape) -> RationalMatrix:
     n = sum(shape)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    cvs = _contents(shape)
+    cvs = tableaux(shape)
     return _dense([_act(i, cv) for cv in cvs], cvs)
 
 
@@ -190,7 +172,7 @@ def f_map(lam, mu) -> RationalMatrix:
     """
     lam, mu = as_partition(lam), as_partition(mu)
     c, one = content(added_box(lam, mu)), Fraction(1)
-    return _dense([((cv + (c,), one),) for cv in _contents(lam)], _contents(mu))
+    return _dense([((cv + (c,), one),) for cv in tableaux(lam)], tableaux(mu))
 
 
 class RemovalPath(NamedTuple):
@@ -240,7 +222,7 @@ def _oracle_solve(lam1: Partition, c1: int, c2: int) -> tuple[Fraction, ...]:
     Every equation is checked, and both branches of a square share the solve.
     """
     sides = [(c1, c2)] if abs(c2 - c1) == 1 else [(c1, c2), (c2, c1)]
-    cvs, i, one = _contents(lam1), sum(lam1) + 1, Fraction(1)
+    cvs, i, one = tableaux(lam1), sum(lam1) + 1, Fraction(1)
     composites = [{(row, cv + side): one for row, cv in enumerate(cvs)} for side in sides]
     swapped = {
         (row, image): value for row, cv in enumerate(cvs) for image, value in _act(i, cv + (c1, c2))

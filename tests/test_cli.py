@@ -184,6 +184,22 @@ def test_det_rejects_a_k_over_the_cap(capsys, args):
     assert f"k <= {MAX_DET_K}" in err
 
 
+def test_complex_rejects_a_first_row_over_the_cap(capsys, monkeypatch):
+    def unbounded(lam):
+        raise AssertionError(f"wtq_tensor ran on {lam}")
+
+    monkeypatch.setattr(cli.co, "wtq_tensor", unbounded)
+    code, out, err = run(capsys, "complex", "--lam", f"({MAX_DET_K + 1})")
+    assert code == 2 and out == ""
+    assert err == f"error: lam_1 = {MAX_DET_K + 1} exceeds the cap lam_1 <= {MAX_DET_K}\n"
+
+
+def test_complex_runs_at_the_cap(capsys):
+    code, out, _ = run(capsys, "complex", "--lam", f"({MAX_DET_K})", "--json")
+    assert code == 0
+    assert json.loads(out)["copies"] == MAX_DET_K
+
+
 def test_det_rejects_a_negative_k(capsys):
     code, out, err = run(capsys, "det", "--lam", "()", "--k", "-1")
     assert code == 2 and out == ""

@@ -7,10 +7,13 @@ exit codes on the whole corpus:
 
     PYTHONPATH=<checkout>/src python tools/cli_corpus.py [group ...]
 
-Groups: ``coeff`` (text and --json on every removal path with |mu| <= 8, plus
-invalid paths), ``verify`` (--json for every suite at its default size and
-bfhcl at 9-11), ``resolve`` (the three kinds for |lam| <= 6 and n <= 4, text
-and --json) and ``complex`` (|lam| <= 8, text and --json).
+Groups, each call in text and with --json (``verify`` with --json only):
+``act`` (every operator over small indices and inputs, plus bad operators,
+indices and charges), ``coeff`` (every removal path with |mu| <= 8, plus
+invalid paths), ``complex`` (|lam| <= 8), ``det`` (|lam| <= 6 at the default
+k and two larger k, plus a negative and an over-cap k), ``resolve`` (the
+three kinds for |lam| <= 6 and n <= 4) and ``verify`` (every suite at its
+default size and bfhcl at 9-11).  Together they run all six subcommands.
 """
 
 from __future__ import annotations
@@ -25,6 +28,36 @@ from bosonfermion import cli
 from bosonfermion.partitions import partitions_up_to, res_set
 from bosonfermion.quiver import label_text as text
 from bosonfermion.suites import SUITES
+
+
+def act_calls():
+    schur_inputs = ("()", "(1)", "(2,1)", "(3,1,1)")
+    fock_inputs = ("vac:0", "vac:-1", "seq:0:0,2", "seq:1:0,4")
+    calls = [(op, on) for op in ("q", "p") for on in schur_inputs]
+    calls += [
+        (f"{op}{m}", on)
+        for op in ("p_row", "p_col", "q_row", "q_col")
+        for m in range(4)
+        for on in schur_inputs
+    ]
+    calls += [
+        (f"{op}{i}", on)
+        for op in ("t", "psi", "psi*", "sbar", "sn", "gq", "gp", "tau")
+        for i in range(-2, 4)
+        for on in fock_inputs
+    ]
+    calls += [
+        ("t1001", "vac:0"),  # index over the cap
+        ("q_row1001", "(1)"),  # strip length over the cap
+        ("t1", "vac:1001"),  # charge over the cap
+        ("x1", "vac:0"),  # unknown operator
+        ("t1", "seq:0:a"),  # parse error
+        ("q", "vac:0"),  # sequence given to a Schur operator
+    ]
+    for op, on in calls:
+        argv = ["act", "--op", op, "--on", on]
+        yield argv
+        yield argv + ["--json"]
 
 
 def coeff_calls():
@@ -56,6 +89,18 @@ def verify_calls():
         yield ["verify", "--suite", "bfhcl", "--max-size", str(size), "--json"]
 
 
+def det_calls():
+    calls = []
+    for lam in partitions_up_to(6):
+        k = lam[0] if lam else 1
+        calls += [[text(lam)], [text(lam), "--k", str(k + 1)], [text(lam), "--k", str(k + 3)]]
+    calls += [["(2,1)", "--k", "-1"], ["(2,1)", "--k", "61"]]  # negative and over the cap
+    for lam, *k in calls:
+        argv = ["det", "--lam", lam, *k]
+        yield argv
+        yield argv + ["--json"]
+
+
 def resolve_calls():
     for lam in partitions_up_to(6):
         for n in range(5):
@@ -76,6 +121,8 @@ GROUPS = {
     "verify": verify_calls,
     "resolve": resolve_calls,
     "complex": complex_calls,
+    "act": act_calls,
+    "det": det_calls,
 }
 
 
