@@ -1,18 +1,17 @@
 """Exact-rational linear algebra over ``Fraction``.
 
 Small and dependency free.  Every exact solve and rank (``RationalMatrix.solve``,
-``solve_in_span`` and ``rank``) runs through one Gauss-Jordan routine over
+``solve_equations`` and ``rank``) runs through one Gauss-Jordan routine over
 sparse rows, ``_echelon``, whose cost follows the supports of the rows and not
 the size of the ambient space.  ``RationalMatrix.det`` alone keeps its own
-elimination, fraction-free (Bareiss).  ``solve_in_span`` eliminates only
-until every unknown has a pivot and checks each remaining equation on its own,
-multiplying only by coefficients other than 1.
+elimination, fraction-free (Bareiss).  ``solve_equations`` reads a stream of
+equations, eliminates only until every unknown has a pivot, and checks each
+later equation against the solution as it arrives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
 
 
 class SingularMatrixError(ValueError):
@@ -179,35 +178,30 @@ def rank(vectors) -> int:
     return len(_echelon(vectors)[0])
 
 
-def solve_in_span(vectors: list[dict], target: dict) -> list[Fraction] | None:
-    """Express ``target`` in the span of independent sparse ``vectors``.
+def solve_equations(equations, n: int) -> list[Fraction] | None:
+    """Solve an iterator of sparse equations in the unknowns 0 .. n-1 exactly.
 
-    Each vector maps a coordinate key to its value; a missing key is zero.
-    Each key gives one equation.  ``_echelon`` reads equations until every
-    vector has a pivot, and the solution x is read off the pivot rows.  Each
-    unread equation is then checked exactly: its left side is x_c itself for
-    a coefficient 1 and x_c times the coefficient otherwise, summed only
-    when the equation has several unknowns, and it must equal the target's
-    entry (zero for a key in no vector, so a key of the target alone fails).
-    Returns the coefficient list, or None if the target is not in the span.
-    Raises ValueError when the vectors are none or linearly dependent,
-    whatever the target.
+    Each equation maps unknowns, and the right side at key ``n``, to values;
+    a missing key is zero.  ``_echelon`` reads equations until every unknown
+    has a pivot.  Each later equation is checked against the solution as it
+    arrives, x_c itself standing for a coefficient 1 and no sum for one term,
+    by numerator and denominator: ``Fraction.__eq__`` would take the slower
+    ``numbers.Rational`` path.  Returns the solution, or None at the first
+    equation that fails.  Raises ValueError when some unknown is left without
+    a pivot, whatever the right sides.
     """
-    if not vectors:
-        raise ValueError("need at least one vector")
-    n = len(vectors)
-    columns = (*vectors, target)
-    # each vector's first key leads, so the pivots usually come from the first n equations
-    keys = iter(dict.fromkeys(chain(*(islice(v, 1) for v in vectors), *columns)))
-    equations = ({c: v[key] for c, v in enumerate(columns) if key in v} for key in keys)
+    if n < 1:
+        raise ValueError("need at least one unknown")
     pivots, rhs_only = _echelon(equations, n)
     if len(pivots) < n:
-        raise ValueError("vectors are linearly dependent")
-    x = [pivots[c].get(n, _ZERO) for c in range(n)]
+        raise ValueError("the equations leave some unknown undetermined")
     if rhs_only:
         return None
-    for key in keys:  # the keys _echelon left unread
-        terms = [x[c] if v[key] == 1 else x[c] * v[key] for c, v in enumerate(vectors) if key in v]
-        if (terms[0] if len(terms) == 1 else sum(terms)) != target.get(key, 0):
+    x = [pivots[c].get(n, _ZERO) for c in range(n)]
+    for equation in equations:  # the equations _echelon left unread
+        rhs = equation.get(n, _ZERO)
+        terms = [x[c] if v == 1 else x[c] * v for c, v in equation.items() if c != n]
+        lhs = terms[0] if len(terms) == 1 else sum(terms)
+        if lhs.numerator != rhs.numerator or lhs.denominator != rhs.denominator:
             return None
     return x

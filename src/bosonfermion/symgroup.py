@@ -43,7 +43,7 @@ from .partitions import (
     removable_corners,
     remove_box,
 )
-from .ratmat import RationalMatrix, solve_in_span
+from .ratmat import RationalMatrix, solve_equations
 
 LAM_BRANCH = "lam"
 NU_BRANCH = "nu"
@@ -217,17 +217,22 @@ def removal_path(lam1, lam, mu, *wanted: str) -> RemovalPath:
 def _oracle_solve(lam1: Partition, c1: int, c2: int) -> tuple[Fraction, ...]:
     """Decompose s_{n-1} on the image cv + (c1, c2) of every tableau cv of lam1 over the composites.
 
-    The composites send row cv to cv + (c1, c2) and, for a square, to the
-    other side cv + (c2, c1); entries are keyed by (row, content vector).
-    Every equation is checked, and both branches of a square share the solve.
+    The composites send cv to cv + (c1, c2) and, for a square, to cv + (c2, c1).
+    Per tableau, x_k is the value of s_{n-1} at cv + side k, and an image on no
+    side is zero: ``solve_equations`` checks every such equation as it streams
+    in.  Both branches of a square share the solve.
     """
     sides = [(c1, c2)] if abs(c2 - c1) == 1 else [(c1, c2), (c2, c1)]
-    cvs, i, one = tableaux(lam1), sum(lam1) + 1, Fraction(1)
-    composites = [{(row, cv + side): one for row, cv in enumerate(cvs)} for side in sides]
-    swapped = {
-        (row, image): value for row, cv in enumerate(cvs) for image, value in _act(i, cv + (c1, c2))
-    }
-    coeffs = solve_in_span(composites, swapped)
+    i, n = sum(lam1) + 1, len(sides)
+
+    def equations():
+        for cv in tableaux(lam1):
+            images = dict(_act(i, cv + (c1, c2)))
+            for k, side in enumerate(sides):
+                yield {k: 1, n: images.pop(cv + side, 0)}
+            yield from ({n: value} for value in images.values())
+
+    coeffs = solve_equations(equations(), n)
     if coeffs is None:
         raise RuntimeError("swapped composite is not in the span of the composites")
     return tuple(coeffs)
@@ -237,12 +242,11 @@ def square_coeffs(lam1, lam, nu, mu) -> tuple[Fraction, Fraction]:
     """Decompose the swapped composite inclusion over the two sides of a square.
 
     Returns (alpha, beta) with  s . (f through lam)  =  alpha * (f through lam)
-    + beta * (f through nu), solved exactly on the sparse composed maps: one
-    equation per nonzero entry, one row of s per tableau of lam1.  This is
-    the oracle's solve for the square, cached by (lam1, c1, c2) and shared
-    with both branches of ``a_oracle``; it uses no closed form and nothing
-    of the collapsed complex.  A composite outside the span is a broken
-    invariant and raises RuntimeError.
+    + beta * (f through nu): the oracle's solve, one equation per side and
+    tableau of lam1, cached by (lam1, c1, c2) and shared with both branches
+    of ``a_oracle``.  It uses no closed form and nothing of the collapsed
+    complex.  A composite outside the span is a broken invariant and raises
+    RuntimeError.
     """
     path = removal_path(lam1, lam, mu)
     nu = as_partition(nu)

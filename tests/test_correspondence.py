@@ -176,17 +176,17 @@ def test_verify_solves_each_system_once(monkeypatch):
     from bosonfermion import symgroup
 
     calls = {"span": 0, "dense": 0}
-    span, dense = symgroup.solve_in_span, RationalMatrix.solve
+    span, dense = symgroup.solve_equations, RationalMatrix.solve
 
-    def counted_span(vectors, target):
+    def counted_span(equations, n):
         calls["span"] += 1
-        return span(vectors, target)
+        return span(equations, n)
 
     def counted_dense(self, rhs):
         calls["dense"] += 1
         return dense(self, rhs)
 
-    monkeypatch.setattr(symgroup, "solve_in_span", counted_span)
+    monkeypatch.setattr(symgroup, "solve_equations", counted_span)
     monkeypatch.setattr(RationalMatrix, "solve", counted_dense)
     for mu in partitions_up_to(7):
         symgroup._oracle_solve.cache_clear()

@@ -353,6 +353,26 @@ def test_oracle_reads_no_tableaux_above_lam1(monkeypatch):
     assert max(sum(shape) for shape in seen) <= sum(mu) - 2
 
 
+def test_oracle_checks_the_last_tableau(monkeypatch):
+    # the first tableau of lam1 already fixes both coefficients of the
+    # square, so only a check of every later equation sees the last one off
+    lam1, lam, mu = (2, 1), (3, 1), (3, 2)
+    last = tableaux(lam1)[-1]
+    act = symgroup._act
+
+    def off_by_one_on_the_last(i, cv):
+        images = act(i, cv)
+        if cv[:-2] != last:
+            return images
+        (image, diagonal), (swapped, off_diagonal) = images
+        return (image, diagonal), (swapped, off_diagonal + 1)
+
+    monkeypatch.setattr(symgroup, "_act", off_by_one_on_the_last)
+    symgroup._oracle_solve.cache_clear()
+    with pytest.raises(RuntimeError):
+        a_oracle(lam1, lam, mu, LAM_BRANCH)
+
+
 def test_bfhcl_sweep_reads_the_tableau_cache():
     # the oracle's enumerator is the cache the benchmark trace reports
     symgroup._oracle_solve.cache_clear()
