@@ -38,7 +38,7 @@ def run_once(checkout: Path, suite: str, size: int) -> dict:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, suite, str(size)],
-        capture_output=True, text=True, cwd=checkout, env=env, check=False,
+        capture_output=True, text=True, cwd=checkout, env=env,
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{suite} {size} in {checkout} exited {proc.returncode}: {proc.stderr.strip()}")
