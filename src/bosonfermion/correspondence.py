@@ -6,15 +6,17 @@ projective in two neighbouring degrees plus one extra projective for every
 removable corner.  The differential between the repeated copies is the
 factorial matrix C below; it is nonsingular, with determinant given by a
 Cauchy-type closed form, and inverting it against the corner column yields
-the coefficients named a-tilde here.  The module solves that system exactly
-and checks the resulting coefficients against the representation-theoretic
-values from :mod:`bosonfermion.symgroup`.
+the coefficients named a-tilde here.  C depends on the partition alone, so
+the module solves that system exactly once per partition, for all of its
+corners, and checks the resulting coefficients against the
+representation-theoretic values from :mod:`bosonfermion.symgroup`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from . import symgroup
@@ -33,7 +35,7 @@ from .partitions import (
     to_sequence,
 )
 from .ratmat import RationalMatrix, format_fraction
-from .symgroup import LAM_BRANCH, NU_BRANCH
+from .symgroup import NU_BRANCH
 
 
 def inv_factorial(s: int) -> Fraction:
@@ -243,25 +245,21 @@ def _g_vectors(lam: Partition, anchors, k: int) -> list[list[Fraction]]:
     from its window index ``content(b1) + 1``, with b1 the corner box; the
     ``anchors`` are these indices.  ``k`` is at least the column count of lam.
     """
-    if not anchors:
-        return []
     rhs = [[-inv_factorial(i - anchor) for anchor in anchors] for i in range(1, k + 1)]
     solutions = matrix_c(lam, k).solve(RationalMatrix(rhs))
     return [solutions.column(c) for c in range(len(anchors))]
 
 
-def _lam_branch_solved(paths) -> list[Fraction]:
-    """The solved lam-branch coefficient of each of ``paths``, removal paths sharing lam and mu.
+@lru_cache(maxsize=None)
+def _corner_solutions(lam: Partition) -> dict[int, list[Fraction]]:
+    """The chain-map solution of every corner of lam, keyed by its window index, from one elimination.
 
-    They share the window of copies, max(lam_1, j0), and the matrix C: one
-    solve serves them all, and each reads the component at the column j0 of
-    the box b2 added last.  Both boxes come from the paths.
+    The window lam_1 + 1 holds the column j0 of every box addable to lam, so
+    one solve serves every mu above lam; ``g_vector`` says why a smaller
+    window gives the same components.
     """
-    if not paths:
-        return []
-    lam, j0 = paths[0].lam, paths[0].b2[1]
-    anchors = [content(path.b1) + 1 for path in paths]
-    return [g[j0 - 1] for g in _g_vectors(lam, anchors, max(lam[0], j0))]
+    anchors = [content(box) + 1 for box in removable_corners(lam)]
+    return dict(zip(anchors, _g_vectors(lam, anchors, lam[0] + 1)))
 
 
 def g_vector(lam, lam1, copies: int | None = None) -> list[Fraction]:
@@ -272,7 +270,8 @@ def g_vector(lam, lam1, copies: int | None = None) -> list[Fraction]:
     may enlarge the window past the column count; the added columns belong to
     contractible pairs of the untruncated complex and leave the lower
     components unchanged.  This is the one-corner case of the elimination
-    that ``verify_bf_hcl`` runs once for all corners of lam.
+    that ``_corner_solutions`` runs once per partition, at window lam_1 + 1,
+    for all corners of lam.
     """
     lam, lam1 = as_partition(lam), as_partition(lam1)
     if lam1 not in res_set(lam):
@@ -286,30 +285,33 @@ def g_vector(lam, lam1, copies: int | None = None) -> list[Fraction]:
 def tilde_a(lam1, lam, mu, branch: str) -> Fraction:
     """Coefficient read off from the collapsed complex.
 
-    The second branch is structurally 1; the first is the component of the
-    linear solve at the column of the box added last (the one-corner case of
-    the shared solve in ``verify_bf_hcl``).  The path and its boxes come
-    from ``symgroup.removal_path``, box geometry only; beyond that only the
-    factorial matrix C is used: neither the closed form nor the oracle of
-    :mod:`bosonfermion.symgroup`.
+    The second branch is structurally 1; the first is the component, at the
+    column of the box added last, of lam's cached solve for the removed
+    corner (the one solve per partition that serves the whole ``bfhcl``
+    sweep).  The path and its boxes come from ``symgroup.removal_path``, box
+    geometry only; beyond that only the factorial matrix C is used: neither
+    the closed form nor the oracle of :mod:`bosonfermion.symgroup`.
     """
-    path = symgroup.removal_path(lam1, lam, mu, branch)
+    return _tilde_a(symgroup.removal_path(lam1, lam, mu, branch), branch)
+
+
+def _tilde_a(path: symgroup.RemovalPath, branch: str) -> Fraction:
     if branch == NU_BRANCH:
         return Fraction(1)
-    return _lam_branch_solved([path])[0]
+    return _corner_solutions(path.lam)[content(path.b1) + 1][path.b2[1] - 1]
 
 
-def check_path(path: symgroup.RemovalPath, solved_lam: Fraction) -> list[dict]:
+def check_path(path: symgroup.RemovalPath) -> list[dict]:
     """One row per branch of the path: the closed ``a``, the oracle and the solved value.
 
-    ``solved_lam`` is the solved lam branch; the nu branch asks ``tilde_a``.
-    The values are ``format_fraction`` strings, and ``pass`` is their exact equality.
+    Each route's body runs on the path as given, so it is built once.  The
+    values are ``format_fraction`` strings, and ``pass`` is their exact equality.
     """
     rows = []
     for branch in path.branches:
-        a = symgroup.a_coeff(path.lam1, path.lam, path.mu, branch)
-        oracle = symgroup.a_oracle(path.lam1, path.lam, path.mu, branch)
-        solved = solved_lam if branch == LAM_BRANCH else tilde_a(path.lam1, path.lam, path.mu, branch)
+        a = symgroup._a_coeff(path, branch)
+        oracle = symgroup._a_oracle(path, branch)
+        solved = _tilde_a(path, branch)
         rows.append(
             {
                 "branch": branch,
@@ -325,18 +327,17 @@ def check_path(path: symgroup.RemovalPath, solved_lam: Fraction) -> list[dict]:
 def verify_bf_hcl(mu) -> dict:
     """Run ``check_path`` on every length-two removal path below mu; each row adds lam1 and lam.
 
-    The paths of each (lam, mu) edge are built first, and the solved side
-    eliminates C once per edge for all of them; the oracle solves each path
-    once for both branches.  Every route reads its boxes from the path and
-    nothing of the other routes.
+    Each path is built once.  The solved side eliminates C once per
+    partition lam for the whole sweep (``_corner_solutions``), and the oracle
+    solves each path once for both branches.  Every route reads its boxes
+    from the path and nothing of the other routes.
     """
     mu = as_partition(mu)
     cases = []
     for lam in sorted(res_set(mu)):
-        paths = [symgroup.removal_path(lam1, lam, mu) for lam1 in sorted(res_set(lam))]
-        for path, solved_lam in zip(paths, _lam_branch_solved(paths)):
-            for row in check_path(path, solved_lam):
-                cases.append({"lam1": list(path.lam1), "lam": list(lam), **row})
+        for lam1 in sorted(res_set(lam)):
+            for row in check_path(symgroup.removal_path(lam1, lam, mu)):
+                cases.append({"lam1": list(lam1), "lam": list(lam), **row})
     return {"mu": list(mu), "cases": cases, "passed": all(c["pass"] for c in cases)}
 
 

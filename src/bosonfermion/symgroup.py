@@ -20,7 +20,8 @@ box-adding edge and the structure constants of the restriction map on
 projectives, both in closed form and from first principles (the oracle).
 ``removal_path`` is the one check that lam1 -> lam -> mu adds one box at a
 time; it gives the two added boxes and the branches, and every coefficient
-route, here and in :mod:`bosonfermion.correspondence`, starts from it.
+route, here and in :mod:`bosonfermion.correspondence`, starts from it; a
+caller holding a path runs each route's private body on it, building it once.
 The oracle reads only the tableaux of lam1, two sizes below mu: the image
 of cv under lam1 -> lam -> mu is cv + (c1, c2), with c1 and c2 the contents
 of the added boxes, and s_{n-1} acts on it through d = c2 - c1 alone.
@@ -285,13 +286,17 @@ def a_coeff(lam1, lam, mu, branch: str) -> Fraction:
 
     In the square case the nu branch is 1 and the lam branch is the h ratio
     divided by the content difference d; in the degenerate (domino) case the
-    sign is +1 for a horizontal and -1 for a vertical domino.
+    sign is +1 for a horizontal and -1 for a vertical domino.  ``_a_coeff``
+    is the body on a path already built.
     """
-    path = removal_path(lam1, lam, mu, branch)
+    return _a_coeff(removal_path(lam1, lam, mu, branch), branch)
+
+
+def _a_coeff(path: RemovalPath, branch: str) -> Fraction:
     if branch == NU_BRANCH:
         return Fraction(1)
     b1, b2 = path.b1, path.b2
-    ratio = h_coeff(path.lam, path.mu) / h_coeff(path.lam1, path.lam)
+    ratio = _h_coeff(path.lam, path.mu) / _h_coeff(path.lam1, path.lam)
     if path.nu is not None:
         return ratio / (content(b2) - content(b1))
     eps = 1 if b1[0] == b2[0] else -1
@@ -336,11 +341,15 @@ def a_oracle(lam1, lam, mu, branch: str) -> Fraction:
     result exactly over the composites, one for a domino and two for a
     square, checking every equation, and rescales by the h ratio.  The one
     solve is cached by (lam1, c1, c2), so the two branches of a square share
-    it.  The closed forms above are never consulted.
+    it.  The closed forms above are never consulted.  ``_a_oracle`` is the
+    body on a path already built.
     """
-    path = removal_path(lam1, lam, mu, branch)
+    return _a_oracle(removal_path(lam1, lam, mu, branch), branch)
+
+
+def _a_oracle(path: RemovalPath, branch: str) -> Fraction:
     coeffs = _oracle_solve(path.lam1, content(path.b1), content(path.b2))
-    h_base = h_coeff(path.lam1, path.lam)
+    h_base = _h_coeff(path.lam1, path.lam)
     if branch == LAM_BRANCH:
-        return coeffs[0] * h_coeff(path.lam, path.mu) / h_base
-    return coeffs[1] * h_coeff(path.nu, path.mu) / h_base
+        return coeffs[0] * _h_coeff(path.lam, path.mu) / h_base
+    return coeffs[1] * _h_coeff(path.nu, path.mu) / h_base

@@ -252,7 +252,7 @@ def test_internal_failure_is_not_a_usage_error(monkeypatch):
     def broken(*args):
         raise RuntimeError("broken invariant")
 
-    monkeypatch.setattr(symgroup, "a_oracle", broken)
+    monkeypatch.setattr(symgroup, "_a_oracle", broken)
     with pytest.raises(RuntimeError):
         main(["coeff", "--lam1", "(1)", "--lam", "(2)", "--mu", "(2,1)"])
 
@@ -262,7 +262,7 @@ def test_verify_reports_an_aborted_suite_as_a_failure(monkeypatch, capsys, error
     def broken(*args):
         raise error("broken invariant")
 
-    monkeypatch.setattr(symgroup, "a_oracle", broken)
+    monkeypatch.setattr(symgroup, "_a_oracle", broken)
     code, out, err = run(capsys, "verify", "--suite", "bfhcl", "--max-size", "3")
     assert code == 1 and out == ""
     assert err == f"error: suite bfhcl aborted: {error.__name__}: broken invariant\n"
@@ -311,8 +311,8 @@ def test_coeff_json_pinned(capsys):
 
 
 def test_coeff_exits_one_when_the_routes_disagree(capsys, monkeypatch):
-    closed = symgroup.a_coeff
-    monkeypatch.setattr(symgroup, "a_coeff", lambda *args: closed(*args) + 1)
+    closed = symgroup._a_coeff
+    monkeypatch.setattr(symgroup, "_a_coeff", lambda *args: closed(*args) + 1)
     path = ["coeff", "--lam1", "(1)", "--lam", "(2)", "--mu", "(2,1)"]
     code, out, _ = run(capsys, *path, "--json")
     assert code == 1

@@ -173,10 +173,10 @@ def removal_paths(mu):
 
 
 def test_verify_solves_each_system_once(monkeypatch):
-    from bosonfermion import symgroup
+    from bosonfermion import correspondence, symgroup
 
-    calls = {"span": 0, "dense": 0}
-    span, dense = symgroup.solve_equations, RationalMatrix.solve
+    calls = {"span": 0, "dense": 0, "path": 0}
+    span, dense, path = symgroup.solve_equations, RationalMatrix.solve, symgroup.removal_path
 
     def counted_span(equations, n):
         calls["span"] += 1
@@ -186,16 +186,35 @@ def test_verify_solves_each_system_once(monkeypatch):
         calls["dense"] += 1
         return dense(self, rhs)
 
+    def counted_path(*args):
+        calls["path"] += 1
+        return path(*args)
+
     monkeypatch.setattr(symgroup, "solve_equations", counted_span)
     monkeypatch.setattr(RationalMatrix, "solve", counted_dense)
+    monkeypatch.setattr(symgroup, "removal_path", counted_path)
+    symgroup._oracle_solve.cache_clear()
+    correspondence._corner_solutions.cache_clear()
+    paths, lams = 0, set()
     for mu in partitions_up_to(7):
-        symgroup._oracle_solve.cache_clear()
-        calls.update(span=0, dense=0)
+        before = calls["path"]
         assert verify_bf_hcl(mu)["passed"], mu
-        # one oracle solve per removal path (square or domino), one
-        # elimination of C per (lam, mu) edge that has a path below it
-        assert calls["span"] == len(list(removal_paths(mu))), mu
-        assert calls["dense"] == sum(1 for lam in res_set(mu) if res_set(lam)), mu
+        # one removal_path call per path below mu, shared by the three routes
+        assert calls["path"] - before == len(list(removal_paths(mu))), mu
+        paths += len(list(removal_paths(mu)))
+        lams.update(lam for lam in res_set(mu) if res_set(lam))
+    # one oracle solve per removal path (square or domino), and one
+    # elimination of C per partition lam with a corner, for the whole sweep
+    assert calls["span"] == paths
+    assert calls["dense"] == len(lams)
+
+
+def test_corner_solution_window_covers_the_edge_window():
+    # the cached solve uses lam_1 + 1 copies; the first lam_1 components
+    # are those of the column-count window
+    for lam in partitions_up_to(10):
+        for lam1 in res_set(lam):
+            assert g_vector(lam, lam1) == g_vector(lam, lam1, lam[0] + 1)[: lam[0]], (lam1, lam)
 
 
 def test_tilde_a_is_one_corner_of_the_shared_solve():
