@@ -68,22 +68,24 @@ def suite_clifford(max_size: int) -> SuiteResult:
 
     Each generator acts once on each basis vector; the word t_i t_j is then
     t_i applied to that first image, so every relation is still computed
-    from ``apply_t`` on a ``FockVector``.
+    from ``apply_t`` on a ``FockVector``.  The text of each basis vector is
+    formatted once and shared by all of its case keys.
     """
     result = SuiteResult("clifford", max_size)
     keys = [s for k in range(-2, 3) for s in energy_basis(max_size, k)]
     indices = range(-6, 7)
     for s in keys:
         v = FockVector.basis(s)
+        text = str(s)
         first = {j: fock.apply_t(j, v) for j in indices}
         for i in indices:
-            result.check(f"square i={i} {s}", fock.apply_t(i, first[i]).is_zero())
+            result.check(f"square i={i} {text}", fock.apply_t(i, first[i]).is_zero())
             for j in range(i + 1, indices.stop):
                 total = fock.apply_t(i, first[j]) + fock.apply_t(j, first[i])
                 if j == i + 1:
-                    result.check(f"adjacent i={i} j={j} {s}", total == v)
+                    result.check(f"adjacent i={i} j={j} {text}", total == v)
                 else:
-                    result.check(f"anticommute i={i} j={j} {s}", total.is_zero())
+                    result.check(f"anticommute i={i} j={j} {text}", total.is_zero())
     return result
 
 

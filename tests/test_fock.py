@@ -151,6 +151,44 @@ def test_clifford_suite_catches_a_wrong_generator(monkeypatch):
         assert f"i={bad}" in key.split() or f"j={bad}" in key.split(), key
 
 
+def _clifford_failures(monkeypatch, wrong_t2):
+    original = fock._t_key
+
+    def wrong(i, key):
+        return wrong_t2(original(i, key), key) if i == 2 else original(i, key)
+
+    monkeypatch.setattr(fock, "_t_key", wrong)
+    try:
+        return run_suite("clifford", 2).failures
+    finally:
+        monkeypatch.undo()
+
+
+def test_clifford_case_keys_keep_their_text(monkeypatch):
+    # Passing keys never reach the --json output, so the complete text of
+    # failing ones is pinned here.
+    flipped = _clifford_failures(monkeypatch, lambda pairs, key: [(-c, s) for c, s in pairs])
+    assert len(flipped) == 40
+    assert flipped[:3] == [
+        "adjacent i=1 j=2 ChargedSequence(charge=-2, head=())",
+        "adjacent i=2 j=3 ChargedSequence(charge=-2, head=())",
+        "adjacent i=1 j=2 ChargedSequence(charge=-2, head=(-4,))",
+    ]
+    assert "adjacent i=1 j=2 ChargedSequence(charge=1, head=(2, 4))" in flipped
+    assert flipped[-1] == "adjacent i=2 j=3 ChargedSequence(charge=2, head=(2,))"
+    identity = _clifford_failures(monkeypatch, lambda pairs, key: [(1, key)])
+    assert len(identity) == 172
+    assert identity[:6] == [
+        "anticommute i=-6 j=2 ChargedSequence(charge=-2, head=())",
+        "anticommute i=-4 j=2 ChargedSequence(charge=-2, head=())",
+        "anticommute i=-3 j=2 ChargedSequence(charge=-2, head=())",
+        "anticommute i=-1 j=2 ChargedSequence(charge=-2, head=())",
+        "adjacent i=1 j=2 ChargedSequence(charge=-2, head=())",
+        "square i=2 ChargedSequence(charge=-2, head=())",
+    ]
+    assert identity[-1] == "anticommute i=2 j=6 ChargedSequence(charge=2, head=(2,))"
+
+
 # -- translation and partial sums ---------------------------------------------
 
 def test_tau():

@@ -22,9 +22,10 @@ def test_ladder_writes_the_bench_schema(tmp_path):
     for side in report["ladder"].values():
         assert set(side) == {"2", "3"}
         for entry in side.values():
-            assert set(entry) == {"cases", "passed", "seconds", "peak_rss_mb", "median_s", "median_peak_rss_mb"}
+            assert set(entry) == {"cases", "passed", "seconds", "cpu_s", "peak_rss_mb",
+                                  "median_s", "median_cpu_s", "median_peak_rss_mb"}
             assert entry["passed"] is True and entry["cases"] > 0
-            assert len(entry["seconds"]) == len(entry["peak_rss_mb"]) == 2
+            assert len(entry["seconds"]) == len(entry["cpu_s"]) == len(entry["peak_rss_mb"]) == 2
             assert entry["median_peak_rss_mb"] > 0
     # both sides ran the same code, so they checked the same cases
     assert report["ladder"]["parent"]["3"]["cases"] == report["ladder"]["change"]["3"]["cases"]

@@ -1,9 +1,10 @@
-"""Size ladder of one verify suite on two checkouts: wall time and peak RSS per size.
+"""Size ladder of one verify suite on two checkouts: wall time, CPU time and peak RSS per size.
 
 Each (side, size) runs ``run_suite(suite, size)`` in a fresh interpreter
 started from the root of that checkout with ``PYTHONPATH=src``.  Every round
 runs every size on both sides, and the side that goes first alternates from
-round to round.  Seconds cover ``run_suite`` only; peak RSS is ``ru_maxrss``
+round to round.  Wall seconds (``time.perf_counter``) and CPU seconds
+(``time.process_time``) cover ``run_suite`` only; peak RSS is ``ru_maxrss``
 of the whole interpreter.  The JSON written has the schema of the committed
 ``BENCH_*.json`` ladders:
 
@@ -28,8 +29,9 @@ from pathlib import Path
 
 CHILD = (
     "import json, resource, sys, time; from bosonfermion.suites import run_suite; "
-    "t = time.perf_counter(); r = run_suite(sys.argv[1], int(sys.argv[2])); s = time.perf_counter() - t; "
-    "print(json.dumps({'cases': r.cases, 'passed': r.passed, 'seconds': round(s, 2), "
+    "t, c = time.perf_counter(), time.process_time(); r = run_suite(sys.argv[1], int(sys.argv[2])); "
+    "s, c = time.perf_counter() - t, time.process_time() - c; "
+    "print(json.dumps({'cases': r.cases, 'passed': r.passed, 'seconds': round(s, 2), 'cpu_s': round(c, 2), "
     "'peak_rss_mb': round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))"
 )
 
@@ -46,7 +48,8 @@ def run_once(checkout: Path, suite: str, size: int) -> dict:
 
 
 def ladder(checkouts: dict[str, Path], suite: str, sizes: list[int], rounds: int) -> dict:
-    out = {side: {str(size): {"cases": None, "passed": True, "seconds": [], "peak_rss_mb": []} for size in sizes}
+    out = {side: {str(size): {"cases": None, "passed": True, "seconds": [], "cpu_s": [], "peak_rss_mb": []}
+                  for size in sizes}
            for side in checkouts}
     sides = list(checkouts)
     for r in range(rounds):
@@ -59,10 +62,12 @@ def ladder(checkouts: dict[str, Path], suite: str, sizes: list[int], rounds: int
                 entry["cases"] = result["cases"]
                 entry["passed"] = entry["passed"] and result["passed"]
                 entry["seconds"].append(result["seconds"])
+                entry["cpu_s"].append(result["cpu_s"])
                 entry["peak_rss_mb"].append(result["peak_rss_mb"])
                 print(f"round {r + 1} {side:<6} {size:>3}: {result}", file=sys.stderr)
     for entry in (entry for side in out.values() for entry in side.values()):
         entry["median_s"] = round(statistics.median(entry["seconds"]), 2)
+        entry["median_cpu_s"] = round(statistics.median(entry["cpu_s"]), 2)
         entry["median_peak_rss_mb"] = round(statistics.median(entry["peak_rss_mb"]), 1)
     return out
 
@@ -83,13 +88,13 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     sizes = ", ".join(map(str, args.sizes))
     report = {
-        "benchmark": f"{args.suite} size ladder: wall time and peak RSS of "
+        "benchmark": f"{args.suite} size ladder: wall time, CPU time and peak RSS of "
         f"run_suite({args.suite!r}, n) for n = {sizes} on both sides",
         "command": f"PYTHONPATH=src {Path(sys.executable).name} -c {CHILD!r} {args.suite} <size>",
         "method": "one fresh interpreter per size and run, started from the root of each checkout; "
         f"{args.rounds} rounds, each round runs every size on both sides, alternating which side runs "
-        "first from round to round; seconds cover run_suite only, peak RSS is ru_maxrss of the whole "
-        "interpreter; written by tools/ladder.py",
+        "first from round to round; wall seconds (perf_counter) and cpu_s (process_time) cover run_suite "
+        "only, peak RSS is ru_maxrss of the whole interpreter; written by tools/ladder.py",
         "python": platform.python_version(),
         "host": f"{platform.system()} {platform.release()} {platform.machine()}, {os.cpu_count()} CPUs",
         "parent": args.parent_note,
