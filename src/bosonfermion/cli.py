@@ -33,7 +33,8 @@ MAX_FOCK_CHARGE = 1000
 MAX_DET_K = 60
 # Largest |mu| of ``coeff``: the oracle acts on the tableaux of lam1, two
 # sizes below mu, and its time and memory grow with their number (the path
-# (5,4,2,1) -> (5,4,3,1) -> (5,4,3,2), |mu| = 14, takes 0.11 s and 26.5 MB).
+# (5,4,2,1) -> (5,4,3,1) -> (5,4,3,2), |mu| = 14, takes 0.06 to 0.07 s and
+# 19 MB, import included).
 MAX_COEFF_SIZE = 14
 # Largest n of ``resolve``: the q resolution has n + 1 labels of n rows each,
 # so its time, memory and output grow at least quadratically in n.  At 500

@@ -1,12 +1,10 @@
 """Exact-rational linear algebra over ``Fraction``.
 
-Small and dependency free.  Every exact solve and rank (``RationalMatrix.solve``,
-``solve_equations`` and ``rank``) runs through one Gauss-Jordan routine over
-sparse rows, ``_echelon``, whose cost follows the supports of the rows and not
-the size of the ambient space.  ``RationalMatrix.det`` alone keeps its own
-elimination, fraction-free (Bareiss).  ``solve_equations`` reads a stream of
-equations, eliminates only until every unknown has a pivot, and checks each
-later equation against the solution as it arrives.
+Small and dependency free.  Every exact solve and rank (``RationalMatrix.solve``
+and ``rank``) runs through one Gauss-Jordan routine over sparse rows,
+``_echelon``, whose cost follows the supports of the rows and not the size of
+the ambient space.  ``RationalMatrix.det`` alone keeps its own elimination,
+fraction-free (Bareiss), the independent reference for the rank.
 """
 
 from __future__ import annotations
@@ -119,7 +117,7 @@ class RationalMatrix:
         b = rhs.data if several else [[_as_fraction(x)] for x in rhs]
         if len(b) != n:
             raise ValueError("rhs length mismatch")
-        pivots, _ = _echelon((dict(enumerate(row + b_row)) for row, b_row in zip(self.data, b)), n)
+        pivots = _echelon((dict(enumerate(row + b_row)) for row, b_row in zip(self.data, b)), n)
         if len(pivots) < n:
             raise SingularMatrixError("singular system")
         solutions = [[pivots[i].get(j, _ZERO) for j in range(n, n + len(b[0]))] for i in range(n)]
@@ -142,25 +140,21 @@ def _subtract(row: dict, factor: Fraction, other: dict) -> None:
             del row[col]
 
 
-def _echelon(rows, n: int | None = None) -> tuple[dict, bool]:
+def _echelon(rows, n: int | None = None) -> dict:
     """Gauss-Jordan elimination over sparse rows read one at a time.
 
     A row maps each column to its value through ``items()``.  Pivots are taken
     among the columns ``0 .. n-1`` (the unknowns) when ``n`` is given, else
-    among all; reading stops once every unknown has a pivot, leaving the other
-    rows in the iterator.  Returns the pivot rows by pivot column, each with a
-    1 there and no entry in any other pivot column, and whether some row
-    reduced to entries outside the unknowns only.
+    among all.  Returns the pivot rows by pivot column, each with a 1 there
+    and no entry in any other pivot column.
     """
     pivots: dict = {}
-    rhs_only = False
     for row in rows:
         row = {col: value for col, value in row.items() if value}
         for col in [c for c in row if c in pivots]:
             _subtract(row, row[col], pivots[col])
         col = next((c for c in row if n is None or c < n), None)
         if col is None:
-            rhs_only = rhs_only or bool(row)
             continue
         inv = _ONE / row[col]
         row = {c: value * inv for c, value in row.items()}
@@ -168,40 +162,9 @@ def _echelon(rows, n: int | None = None) -> tuple[dict, bool]:
             if col in pivot_row:
                 _subtract(pivot_row, pivot_row[col], row)
         pivots[col] = row
-        if len(pivots) == n:
-            break
-    return pivots, rhs_only
+    return pivots
 
 
 def rank(vectors) -> int:
     """Rank of sparse vectors, each mapping coordinate keys to values through ``items()``."""
-    return len(_echelon(vectors)[0])
-
-
-def solve_equations(equations, n: int) -> list[Fraction] | None:
-    """Solve an iterator of sparse equations in the unknowns 0 .. n-1 exactly.
-
-    Each equation maps unknowns, and the right side at key ``n``, to values;
-    a missing key is zero.  ``_echelon`` reads equations until every unknown
-    has a pivot.  Each later equation is checked against the solution as it
-    arrives, x_c itself standing for a coefficient 1 and no sum for one term,
-    by numerator and denominator: ``Fraction.__eq__`` would take the slower
-    ``numbers.Rational`` path.  Returns the solution, or None at the first
-    equation that fails.  Raises ValueError when some unknown is left without
-    a pivot, whatever the right sides.
-    """
-    if n < 1:
-        raise ValueError("need at least one unknown")
-    pivots, rhs_only = _echelon(equations, n)
-    if len(pivots) < n:
-        raise ValueError("the equations leave some unknown undetermined")
-    if rhs_only:
-        return None
-    x = [pivots[c].get(n, _ZERO) for c in range(n)]
-    for equation in equations:  # the equations _echelon left unread
-        rhs = equation.get(n, _ZERO)
-        terms = [x[c] if v == 1 else x[c] * v for c, v in equation.items() if c != n]
-        lhs = terms[0] if len(terms) == 1 else sum(terms)
-        if lhs.numerator != rhs.numerator or lhs.denominator != rhs.denominator:
-            return None
-    return x
+    return len(_echelon(vectors))

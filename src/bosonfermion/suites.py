@@ -305,9 +305,9 @@ def suite_identities(max_size: int) -> SuiteResult:
 # name -> (suite, default size, largest size ``verify`` accepts).  Stepping up
 # one size at a time from the default on a 2-vCPU x86 host, each other cap is
 # the largest size that ran in under 30 s and 100 MB.  ``bfhcl`` at 14 takes
-# 14 to 20 s and 45 MB; ``serre`` at 84 took 23 to 26 s and 27.5 MB, and
-# every run at 85 took over 30 s; ``resolutions`` does the same work at every
-# size from 6 up, so its cap is 6.
+# 6.5 to 6.6 s and 45 MB, and at 15 took 27 s and 130 MB; ``serre`` at 84
+# took 23 to 26 s and 27.5 MB, and every run at 85 took over 30 s;
+# ``resolutions`` does the same work at every size from 6 up, so its cap is 6.
 SUITES = {
     "clifford": (suite_clifford, 6, 21),
     "heisenberg": (suite_heisenberg, 10, 33),

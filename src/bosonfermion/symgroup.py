@@ -44,10 +44,11 @@ from .partitions import (
     removable_corners,
     remove_box,
 )
-from .ratmat import RationalMatrix, solve_equations
+from .ratmat import RationalMatrix
 
 LAM_BRANCH = "lam"
 NU_BRANCH = "nu"
+_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -218,24 +219,25 @@ def removal_path(lam1, lam, mu, *wanted: str) -> RemovalPath:
 def _oracle_solve(lam1: Partition, c1: int, c2: int) -> tuple[Fraction, ...]:
     """Decompose s_{n-1} on the image cv + (c1, c2) of every tableau cv of lam1 over the composites.
 
-    The composites send cv to cv + (c1, c2) and, for a square, to cv + (c2, c1).
-    Per tableau, x_k is the value of s_{n-1} at cv + side k, and an image on no
-    side is zero: ``solve_equations`` checks every such equation as it streams
-    in.  Both branches of a square share the solve.
+    The composites send cv to one basis vector each, cv + (c1, c2) and, for a
+    square, cv + (c2, c1), so x_k is the value of s_{n-1} at cv + side k and an
+    image on no side must be zero.  The first tableau sets the x_k and every
+    tableau is checked against them.  Both branches of a square share the solve.
     """
     sides = [(c1, c2)] if abs(c2 - c1) == 1 else [(c1, c2), (c2, c1)]
-    i, n = sum(lam1) + 1, len(sides)
-
-    def equations():
-        for cv in tableaux(lam1):
-            images = dict(_act(i, cv + (c1, c2)))
-            for k, side in enumerate(sides):
-                yield {k: 1, n: images.pop(cv + side, 0)}
-            yield from ({n: value} for value in images.values())
-
-    coeffs = solve_equations(equations(), n)
-    if coeffs is None:
-        raise RuntimeError("swapped composite is not in the span of the composites")
+    i, coeffs = sum(lam1) + 1, None
+    for cv in tableaux(lam1):
+        targets = [cv + side for side in sides]
+        values, stray = [_ZERO] * len(sides), False
+        for image, value in _act(i, targets[0]):
+            if image in targets:
+                values[targets.index(image)] = value
+            else:
+                stray = stray or bool(value)
+        if coeffs is None:
+            coeffs = values
+        if stray or values != coeffs:
+            raise RuntimeError("swapped composite is not in the span of the composites")
     return tuple(coeffs)
 
 
@@ -243,11 +245,11 @@ def square_coeffs(lam1, lam, nu, mu) -> tuple[Fraction, Fraction]:
     """Decompose the swapped composite inclusion over the two sides of a square.
 
     Returns (alpha, beta) with  s . (f through lam)  =  alpha * (f through lam)
-    + beta * (f through nu): the oracle's solve, one equation per side and
-    tableau of lam1, cached by (lam1, c1, c2) and shared with both branches
-    of ``a_oracle``.  It uses no closed form and nothing of the collapsed
-    complex.  A composite outside the span is a broken invariant and raises
-    RuntimeError.
+    + beta * (f through nu): the oracle's values of s_{n-1} on the two sides,
+    checked on every tableau of lam1, cached by (lam1, c1, c2) and shared
+    with both branches of ``a_oracle``.  It uses no closed form and nothing
+    of the collapsed complex.  A composite outside the span is a broken
+    invariant and raises RuntimeError.
     """
     path = removal_path(lam1, lam, mu)
     nu = as_partition(nu)
@@ -339,10 +341,11 @@ def a_oracle(lam1, lam, mu, branch: str) -> Fraction:
     Sends every tableau of lam1 to its image cv + (c1, c2) in mu, acts on
     each image by the adjacent swap s_{n-1} (``_act``), decomposes the
     result exactly over the composites, one for a domino and two for a
-    square, checking every equation, and rescales by the h ratio.  The one
-    solve is cached by (lam1, c1, c2), so the two branches of a square share
-    it.  The closed forms above are never consulted.  ``_a_oracle`` is the
-    body on a path already built.
+    square, checking that every tableau gives the same values and nothing
+    outside them, and rescales by the h ratio.  The one decomposition is
+    cached by (lam1, c1, c2), so the two branches of a square share it.  The
+    closed forms above are never consulted.  ``_a_oracle`` is the body on a
+    path already built.
     """
     return _a_oracle(removal_path(lam1, lam, mu, branch), branch)
 

@@ -373,6 +373,22 @@ def test_oracle_checks_the_last_tableau(monkeypatch):
         a_oracle(lam1, lam, mu, LAM_BRANCH)
 
 
+def test_oracle_acts_on_every_tableau_of_lam1(monkeypatch):
+    # no tableau is skipped, though the first already fixes the coefficients
+    lam1, lam, mu = (3, 2, 1), (4, 2, 1), (4, 2, 2)
+    seen = []
+    act = symgroup._act
+
+    def recorded(i, cv):
+        seen.append(cv[:-2])
+        return act(i, cv)
+
+    monkeypatch.setattr(symgroup, "_act", recorded)
+    symgroup._oracle_solve.cache_clear()
+    assert a_oracle(lam1, lam, mu, LAM_BRANCH) == a_coeff(lam1, lam, mu, LAM_BRANCH)
+    assert set(seen) == set(tableaux(lam1))
+
+
 def test_bfhcl_sweep_reads_the_tableau_cache():
     # the oracle's enumerator is the cache the benchmark trace reports
     symgroup._oracle_solve.cache_clear()

@@ -31,7 +31,7 @@ CHILD = (
     "import json, resource, sys, time; from bosonfermion.suites import run_suite; "
     "t, c = time.perf_counter(), time.process_time(); r = run_suite(sys.argv[1], int(sys.argv[2])); "
     "s, c = time.perf_counter() - t, time.process_time() - c; "
-    "print(json.dumps({'cases': r.cases, 'passed': r.passed, 'seconds': round(s, 2), 'cpu_s': round(c, 2), "
+    "print(json.dumps({'cases': r.cases, 'passed': r.passed, 'seconds': round(s, 3), 'cpu_s': round(c, 3), "
     "'peak_rss_mb': round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))"
 )
 
@@ -66,8 +66,8 @@ def ladder(checkouts: dict[str, Path], suite: str, sizes: list[int], rounds: int
                 entry["peak_rss_mb"].append(result["peak_rss_mb"])
                 print(f"round {r + 1} {side:<6} {size:>3}: {result}", file=sys.stderr)
     for entry in (entry for side in out.values() for entry in side.values()):
-        entry["median_s"] = round(statistics.median(entry["seconds"]), 2)
-        entry["median_cpu_s"] = round(statistics.median(entry["cpu_s"]), 2)
+        entry["median_s"] = round(statistics.median(entry["seconds"]), 3)
+        entry["median_cpu_s"] = round(statistics.median(entry["cpu_s"]), 3)
         entry["median_peak_rss_mb"] = round(statistics.median(entry["peak_rss_mb"]), 1)
     return out
 
