@@ -1,4 +1,8 @@
-"""Command line front end: operator actions, coefficients, complexes, sweeps."""
+"""Command line front end: operator actions, coefficients, complexes, sweeps.
+
+``SUBCOMMANDS`` is the one place a subcommand is declared: its help line, its
+handler and its options.  A call builds the parser of its own subcommand only.
+"""
 
 from __future__ import annotations
 
@@ -280,60 +284,69 @@ def run_verify(args) -> int:
     return 0 if result.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Subcommand name -> (help line, handler, option specs).  Each spec is the
+# option string and the keyword arguments of ``add_argument``; every
+# subcommand also takes ``--json``, added last.
+SUBCOMMANDS = {
+    "act": ("apply an operator to a basis vector", run_act, (
+        ("--op", {
+            "required": True,
+            "help": "t<i>, psi<j>, psi*<j>, q, p, p_row<m>, sbar<n>, sn<n>, gq<N>, gp<N>, tau<s>",
+        }),
+        ("--on", {"required": True, "help": '"(2,1)" or vac:<k> or seq:<k>:<entries>'}),
+    )),
+    "coeff": ("coefficients along a two-step removal path", run_coeff, (
+        ("--lam1", {"required": True}),
+        ("--lam", {"required": True}),
+        ("--mu", {"required": True}),
+    )),
+    "complex": ("the collapsed removal complex against one projective", run_complex, (
+        ("--lam", {"required": True}),
+    )),
+    "resolve": ("projective resolutions in the truncated algebras", run_resolve, (
+        ("--kind", {"required": True, "choices": ["q", "dfp", "simple"]}),
+        ("--lam", {"required": True}),
+        ("--n", {"required": True, "type": int}),
+    )),
+    "det": ("factorial matrix and its determinant, both routes", run_det, (
+        ("--lam", {"required": True}),
+        ("--k", {"type": int, "default": None}),
+    )),
+    "verify": ("run a named verification sweep", run_verify, (
+        ("--suite", {"required": True, "choices": sorted(SUITES)}),
+        ("--max-size", {"type": int, "default": None}),
+    )),
+}
+
+
+def build_parser(names=SUBCOMMANDS) -> argparse.ArgumentParser:
+    """The top-level parser with the subcommands in ``names``, in declaration order."""
     parser = argparse.ArgumentParser(
         prog="bosonfermion",
         description="Exact Fock space operators and coefficient verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    act = sub.add_parser("act", help="apply an operator to a basis vector")
-    act.add_argument(
-        "--op",
-        required=True,
-        help="t<i>, psi<j>, psi*<j>, q, p, p_row<m>, sbar<n>, sn<n>, gq<N>, gp<N>, tau<s>",
-    )
-    act.add_argument("--on", required=True, help='"(2,1)" or vac:<k> or seq:<k>:<entries>')
-    act.add_argument("--json", action="store_true")
-    act.set_defaults(fn=run_act)
-
-    coeff = sub.add_parser("coeff", help="coefficients along a two-step removal path")
-    coeff.add_argument("--lam1", required=True)
-    coeff.add_argument("--lam", required=True)
-    coeff.add_argument("--mu", required=True)
-    coeff.add_argument("--json", action="store_true")
-    coeff.set_defaults(fn=run_coeff)
-
-    cpx = sub.add_parser("complex", help="the collapsed removal complex against one projective")
-    cpx.add_argument("--lam", required=True)
-    cpx.add_argument("--json", action="store_true")
-    cpx.set_defaults(fn=run_complex)
-
-    resolve = sub.add_parser("resolve", help="projective resolutions in the truncated algebras")
-    resolve.add_argument("--kind", required=True, choices=["q", "dfp", "simple"])
-    resolve.add_argument("--lam", required=True)
-    resolve.add_argument("--n", required=True, type=int)
-    resolve.add_argument("--json", action="store_true")
-    resolve.set_defaults(fn=run_resolve)
-
-    det = sub.add_parser("det", help="factorial matrix and its determinant, both routes")
-    det.add_argument("--lam", required=True)
-    det.add_argument("--k", type=int, default=None)
-    det.add_argument("--json", action="store_true")
-    det.set_defaults(fn=run_det)
-
-    verify = sub.add_parser("verify", help="run a named verification sweep")
-    verify.add_argument("--suite", required=True, choices=sorted(SUITES))
-    verify.add_argument("--max-size", type=int, default=None)
-    verify.add_argument("--json", action="store_true")
-    verify.set_defaults(fn=run_verify)
-
+    for name, (help_line, fn, options) in SUBCOMMANDS.items():
+        if name not in names:
+            continue
+        command = sub.add_parser(name, help=help_line)
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
+        command.add_argument("--json", action="store_true")
+        command.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Build only the subcommand the call names.  Help, usage and every error
+    # the top level reports (no or an unknown command, leftover arguments)
+    # come from the full parser, so they read as before.
+    args, extra = None, None
+    if argv and argv[0] in SUBCOMMANDS:
+        args, extra = build_parser(argv[:1]).parse_known_args(argv)
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CliError, ValueError) as exc:

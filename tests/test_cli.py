@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -417,3 +418,72 @@ def test_resolve_rejects_a_simple_resolution_over_the_label_cap(monkeypatch, cap
     ones = "(" + ",".join(["1"] * 200) + ")"
     code, out, _ = run(capsys, "resolve", "--kind", "simple", "--lam", ones, "--n", "200")
     assert code == 0 and built[-1] == ((1,) * 200, 200)
+
+
+# Calls that argparse itself answers or rejects, plus one that runs: each must
+# print and exit as the parser with every subcommand does.
+_ARGPARSE_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["nosuch"],
+    ["co"],
+    ["--json", "coeff", "--lam1", "(1)", "--lam", "(2)", "--mu", "(2,1)"],
+    *[[name, "-h"] for name in cli.SUBCOMMANDS],
+    ["coeff", "--lam1", "(1)", "--lam", "(2)"],
+    ["verify"],
+    ["coeff", "--lam1", "(1)", "--lam", "(2)", "--mu", "(2,1)", "--bogus"],
+    ["coeff", "--lam1", "(1)", "--lam", "(2)", "--mu", "(2,1)", "stray"],
+    ["act", "--op", "q", "--on", "(1)", "-x"],
+    ["verify", "--suite", "nosuch"],
+    ["resolve", "--kind", "z", "--lam", "()", "--n", "1"],
+    ["resolve", "--kind", "q", "--lam", "()", "--n", "x"],
+    ["det", "--lam", "(2)", "--k", "x"],
+    ["det", "--la", "(2)", "--json"],
+]
+
+
+def _outcome(capsys, call):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _reference(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.fn(args)
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+def test_one_subcommand_parser_answers_as_the_full_parser(monkeypatch, capsys, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in _ARGPARSE_ARGVS:
+        got = _outcome(capsys, lambda: main(list(argv)))
+        assert got == _outcome(capsys, lambda: _reference(list(argv))), argv
+    _, out, _ = _outcome(capsys, lambda: main(["-h"]))
+    assert "{" + ",".join(cli.SUBCOMMANDS) + "}" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--lam1", "(1)", "--lam", "(2)", "--mu", "(2,1)", "--json"],
+    ["verify", "--suite", "identities", "--max-size", "1", "--json"],
+])
+def test_a_call_builds_two_parsers(monkeypatch, capsys, argv):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)
+    assert len(made) == 2  # the top level and the named subcommand
+
+
+def test_build_parser_offers_only_the_named_subcommands():
+    assert "{coeff}" in cli.build_parser(["coeff"]).format_usage()
