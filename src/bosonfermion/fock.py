@@ -3,7 +3,10 @@
 Vectors are finite rational combinations of charged sequences.  The odd and
 even generators act by contraction and insertion; the vertex-operator style
 partial sums are evaluated over the finite index window that can act
-nontrivially on the support of the input.
+nontrivially on the support of the input.  Every image is made by
+``ChargedSequence.insert``, ``remove`` or ``shift`` from a sequence already in
+canonical form, so the operators accumulate through ``FormalSum._apply``
+without checking each key again.
 """
 
 from __future__ import annotations
@@ -61,12 +64,12 @@ def _t_key(i: int, key: ChargedSequence):
 
 def apply_psi(j: int, v: FockVector) -> FockVector:
     """Insert the value 2j with the fermionic sign; zero where 2j is present."""
-    return v.apply(lambda key: _psi_key(j, key))
+    return v._apply(lambda key: _psi_key(j, key))
 
 
 def apply_psi_star(j: int, v: FockVector) -> FockVector:
     """Delete the value 2j with the fermionic sign; zero where 2j is absent."""
-    return v.apply(lambda key: _psi_star_key(j, key))
+    return v._apply(lambda key: _psi_star_key(j, key))
 
 
 def apply_t(i: int, v: FockVector) -> FockVector:
@@ -75,7 +78,7 @@ def apply_t(i: int, v: FockVector) -> FockVector:
     Even generators lower the charge by one, odd generators raise it by one.
     An odd generator makes both contractions of a sequence in one pass.
     """
-    return v.apply(lambda key: _t_key(i, key))
+    return v._apply(lambda key: _t_key(i, key))
 
 
 def apply_word(word, v: FockVector) -> FockVector:
@@ -87,25 +90,28 @@ def apply_word(word, v: FockVector) -> FockVector:
 
 def tau(v: FockVector, steps: int = 1) -> FockVector:
     """Shift every entry by 2*steps; the charge moves by steps."""
-    return v.map_keys(lambda key: key.shift(steps))
+    return v._apply(lambda key: [(1, key.shift(steps))])
 
 
 def s_bar_n(n: int, v: FockVector) -> FockVector:
     """Shifted alternating sum of odd generators with indices up to n.
 
-    Only indices i with 2i or 2i+2 in the support can contribute, which makes
-    the a priori infinite lower range finite.
+    t_{2i+1} removes 2i or 2i+2, so only the indices i = x/2 - 1 and x/2 of
+    a present value x can contribute.  Those with i <= n come from the values
+    x <= 2n + 2: the head entries and the tail values up to 2n + 2.  The sum
+    runs over just these indices, in ascending order.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    top = 2 * n + 2
 
     def images(key):
-        lo = key.value(1) // 2 - 1
-        return [
-            (_sign(i) * c, seq) for i in range(lo, n + 1) for c, seq in _t_key(2 * i + 1, key)
-        ]
+        present = [x for x in key.head if x <= top]
+        present.extend(range(key.first_tail_value, top + 1, 2))
+        window = sorted({i for x in present for i in (x // 2 - 1, x // 2) if i <= n})
+        return [(_sign(i) * c, seq) for i in window for c, seq in _t_key(2 * i + 1, key)]
 
-    return tau(v.apply(images), -1)
+    return tau(v._apply(images), -1)
 
 
 def s_n_op(n: int, v: FockVector) -> FockVector:
@@ -120,7 +126,7 @@ def s_n_op(n: int, v: FockVector) -> FockVector:
         hi = key.first_tail_value // 2 - 1
         return [(_sign(i) * c, seq) for i in range(-n, hi + 1) for c, seq in _t_key(2 * i, key)]
 
-    return tau(v.apply(images), 1)
+    return tau(v._apply(images), 1)
 
 
 def _quadratic_trunc(N: int, d: int, v: FockVector) -> FockVector:

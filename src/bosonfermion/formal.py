@@ -1,11 +1,15 @@
 """Finite formal sums with exact rational coefficients.
 
 Every stored coefficient is a nonzero ``Fraction``, whatever numbers went in.
-Terms are combined by one accumulation routine, ``_accumulate``.  Keys from
-outside a vector (given to the constructor, or made by the map given to
-``apply`` or ``map_keys``) first pass the subclass hook ``_check_key``;
-``__add__`` and ``linear_combination`` combine only vectors of one type,
-whose keys have passed it already.
+Terms are combined by one accumulation routine, ``_accumulate``.  Every public
+entry point checks its keys: a key given to the constructor, or made by the
+map given to ``apply`` or ``map_keys``, first passes the subclass hook
+``_check_key``.  ``__add__`` and ``linear_combination`` combine only vectors
+of one type, whose keys have passed it already.  The operators in ``schur``
+and ``fock`` use the private ``_apply``, which skips the hook: their images
+come only from primitives that return normalised keys (``res_set``,
+``ind_set``, the strip enumerators, ``ChargedSequence.insert``, ``remove``
+and ``shift``).
 """
 
 from __future__ import annotations
@@ -126,20 +130,28 @@ class FormalSum:
         c = Fraction(scalar)
         return self._wrap({k: c * v for k, v in self._terms.items()} if c else {})
 
+    def _apply(self, action):
+        """``apply`` for an ``action`` whose image keys are basis keys already.
+
+        No image key passes ``_check_key``; only operators whose images come
+        from normalising primitives call this.
+        """
+        data: dict = {}
+        for key, coeff in self._terms.items():
+            images = action(key)
+            if images:
+                for c, new_key in images:
+                    _accumulate(data, new_key, coeff if c == 1 else coeff * c)
+        return self._wrap(data)
+
     def apply(self, action):
         """Linear extension of a basis-level map.
 
         ``action(key)`` returns an iterable of (coefficient, key) pairs, or
         None for the zero vector.  Every image key passes ``_check_key``.
         """
-        data: dict = {}
         check = self._check_key
-        for key, coeff in self._terms.items():
-            images = action(key)
-            if images:
-                for c, new_key in images:
-                    _accumulate(data, check(new_key), coeff if c == 1 else coeff * c)
-        return self._wrap(data)
+        return self._apply(lambda key: [(c, check(k)) for c, k in action(key) or ()])
 
     def map_keys(self, fn):
         return self.apply(lambda key: [(1, fn(key))])

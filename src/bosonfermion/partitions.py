@@ -67,16 +67,6 @@ def removable_corners(p: Partition) -> list[Box]:
     return corners
 
 
-def addable_boxes(p: Partition) -> list[Box]:
-    boxes = [(1, p[0] + 1)] if p else [(1, 1)]
-    for i in range(1, len(p)):
-        if p[i] < p[i - 1]:
-            boxes.append((i + 1, p[i] + 1))
-    if p:
-        boxes.append((len(p) + 1, 1))
-    return boxes
-
-
 def remove_box(p: Partition, box: Box) -> Partition:
     row = box[0]
     return as_partition(p[: row - 1] + (p[row - 1] - 1,) + p[row:])
@@ -89,13 +79,32 @@ def add_box(p: Partition, box: Box) -> Partition:
 
 
 def res_set(p: Partition) -> set[Partition]:
-    """All partitions obtained by removing one removable corner box."""
-    return {remove_box(p, b) for b in removable_corners(p)}
+    """All partitions obtained by removing one removable corner box.
+
+    Each image is built already normalised: a row longer than the next stays
+    positive, and the last row is dropped when it empties.
+    """
+    last = len(p) - 1
+    out = set()
+    for i, row in enumerate(p):
+        if i == last:
+            out.add(p[:i] + (row - 1,) if row > 1 else p[:i])
+        elif row > p[i + 1]:
+            out.add(p[:i] + (row - 1,) + p[i + 1:])
+    return out
 
 
 def ind_set(p: Partition) -> set[Partition]:
-    """All partitions obtained by adding one addable box."""
-    return {add_box(p, b) for b in addable_boxes(p)}
+    """All partitions obtained by adding one addable box.
+
+    The first row and every row shorter than the one above take a box, and a
+    new row of one box goes below; each image is built already normalised.
+    """
+    out = {p + (1,)}
+    for i, row in enumerate(p):
+        if i == 0 or row < p[i - 1]:
+            out.add(p[:i] + (row + 1,) + p[i + 1:])
+    return out
 
 
 def added_box(smaller: Partition, larger: Partition) -> Box:
@@ -276,10 +285,20 @@ class ChargedSequence:
     @classmethod
     def of(cls, charge: int, entries) -> "ChargedSequence":
         """Build from the explicit leading values of the sequence, canonicalizing."""
-        head = list(entries)
-        while head and head[-1] == 2 * len(head) + 2 * charge:
-            head.pop()
-        return cls(charge, tuple(head))
+        return cls(charge, _trim(charge, tuple(entries)))
+
+    @classmethod
+    def _canonical(cls, charge: int, head: tuple[int, ...]) -> "ChargedSequence":
+        """``of`` for a head that is even, strictly increasing and below the tail.
+
+        Skips ``__post_init__``: only ``insert``, ``remove`` and ``shift``
+        call it, each on a head made from a sequence in canonical form.
+        """
+        seq = object.__new__(cls)
+        fields = seq.__dict__  # frozen: the fields are set past __setattr__
+        fields["charge"] = charge
+        fields["head"] = _trim(charge, head)
+        return seq
 
     @classmethod
     def vacuum(cls, charge: int) -> "ChargedSequence":
@@ -318,7 +337,7 @@ class ChargedSequence:
         n = bisect_left(head, x)
         if x >= self.first_tail_value or (n < len(head) and head[n] == x):
             return None
-        return n, ChargedSequence.of(self.charge - 1, head[:n] + (x,) + head[n:])
+        return n, ChargedSequence._canonical(self.charge - 1, head[:n] + (x,) + head[n:])
 
     def remove(self, x: int) -> tuple[int, "ChargedSequence"] | None:
         """Remove x, returning (1-based position of x, new sequence).
@@ -332,16 +351,17 @@ class ChargedSequence:
         head = self.head
         k = bisect_left(head, x)
         if k < len(head) and head[k] == x:
-            return k + 1, ChargedSequence.of(self.charge + 1, head[:k] + head[k + 1:])
+            return k + 1, ChargedSequence._canonical(self.charge + 1, head[:k] + head[k + 1:])
         if x < self.first_tail_value:
             return None
         gap_index = (x - 2 * self.charge) // 2
         gap = tuple(2 * i + 2 * self.charge for i in range(len(head) + 1, gap_index))
-        return gap_index, ChargedSequence.of(self.charge + 1, head + gap)
+        return gap_index, ChargedSequence._canonical(self.charge + 1, head + gap)
 
     def shift(self, steps: int) -> "ChargedSequence":
         """Add 2*steps to every entry; charge moves by steps."""
-        return ChargedSequence(self.charge + steps, tuple(h + 2 * steps for h in self.head))
+        head = tuple(h + 2 * steps for h in self.head)
+        return ChargedSequence._canonical(self.charge + steps, head)
 
     @property
     def energy(self) -> int:
@@ -353,6 +373,14 @@ class ChargedSequence:
     def display(self, extra: int = 2) -> str:
         shown = self.prefix(len(self.head) + extra)
         return "(" + ",".join(str(x) for x in shown) + ",...)"
+
+
+def _trim(charge: int, head: tuple[int, ...]) -> tuple[int, ...]:
+    """``head`` without its trailing entries that already match the charge-``charge`` tail."""
+    m = len(head)
+    while m and head[m - 1] == 2 * m + 2 * charge:
+        m -= 1
+    return head[:m]
 
 
 def to_sequence(p: Partition) -> ChargedSequence:

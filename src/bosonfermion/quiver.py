@@ -19,6 +19,7 @@ projective counts the eta its tail interlaces below, by :func:`exists_hom`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .formal import FormalSum
 from .partitions import (
@@ -164,8 +165,13 @@ class LimitLabel:
     tail: tuple[int, ...]  # n-1 weakly decreasing values, zeros kept
     n: int
 
+    @cached_property
+    def _tail_partition(self) -> Partition:
+        """The tail normalised once per label; ``tail`` keeps its zeros."""
+        return as_partition(self.tail)
+
     def multiplicity(self, eta) -> int:
-        return int(exists_hom(as_partition(self.tail), as_partition(eta)))
+        return int(exists_hom(self._tail_partition, as_partition(eta)))
 
     def __repr__(self):
         return f"(oo,{','.join(str(x) for x in self.tail)})"

@@ -3,7 +3,9 @@
 Vectors are finite rational combinations of partitions.  The generators add
 or remove a single box; their divided powers add or remove horizontal and
 vertical strips, enumerated directly on diagrams.  Each strip image of a
-partition is enumerated once per process and then read from one table.
+partition is enumerated once per process and then read from one table.  The
+enumerators return normalised partitions, so the operators accumulate their
+images through ``FormalSum._apply`` without checking each key again.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ def schur_basis(p) -> SchurVector:
 
 def apply_q(v: SchurVector) -> SchurVector:
     """Remove one box in all ways; the empty partition maps to zero."""
-    return v.apply(lambda p: [(1, q) for q in sorted(res_set(p))])
+    return v._apply(lambda p: [(1, q) for q in sorted(res_set(p))])
 
 
 def apply_p(v: SchurVector) -> SchurVector:
     """Add one box in all ways."""
-    return v.apply(lambda p: [(1, q) for q in sorted(ind_set(p))])
+    return v._apply(lambda p: [(1, q) for q in sorted(ind_set(p))])
 
 
 @lru_cache(maxsize=None)
@@ -52,7 +54,7 @@ def _strip_images(strips, m: int, p) -> tuple:
 
 
 def _apply_strips(strips, m: int, v: SchurVector) -> SchurVector:
-    return v if m == 0 else v.apply(lambda p: _strip_images(strips, m, p))
+    return v if m == 0 else v._apply(lambda p: _strip_images(strips, m, p))
 
 
 def apply_p_row(m: int, v: SchurVector) -> SchurVector:

@@ -305,14 +305,15 @@ def suite_identities(max_size: int) -> SuiteResult:
 # name -> (suite, default size, largest size ``verify`` accepts).  Stepping up
 # one size at a time from the default on a 2-vCPU x86 host, each other cap is
 # the largest size that ran in under 30 s and 100 MB.  ``bfhcl`` at 14 takes
-# 6.5 to 6.6 s and 45 MB, and at 15 took 27 s and 130 MB; ``serre`` at 84
-# took 23 to 26 s and 27.5 MB, and every run at 85 took over 30 s;
+# 6.5 to 6.6 s and 45 MB, and at 15 took 27 s and 130 MB; ``heisenberg`` at
+# 39 took 24 to 26 s and 45 MB, and both runs at 40 took 32 s; ``serre`` at
+# 91 took 24 to 26 s and 32 MB, and at 92 took 29 and 31 s;
 # ``resolutions`` does the same work at every size from 6 up, so its cap is 6.
 SUITES = {
     "clifford": (suite_clifford, 6, 21),
-    "heisenberg": (suite_heisenberg, 10, 33),
+    "heisenberg": (suite_heisenberg, 10, 39),
     "bfhcl": (suite_bfhcl, 8, 14),
-    "serre": (suite_serre, 10, 84),
+    "serre": (suite_serre, 10, 91),
     "resolutions": (suite_resolutions, 6, 6),
     "identities": (suite_identities, 12, 44),
 }

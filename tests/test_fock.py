@@ -212,6 +212,26 @@ def test_s_bar_column_twist_identity():
             assert lhs == rhs, (n, lam)
 
 
+def s_bar_full_window(n, v):
+    """s_bar_n summed over every i from value(1) // 2 - 1 to n."""
+
+    def images(key):
+        lo = key.value(1) // 2 - 1
+        return [
+            (fock._sign(i) * c, s)
+            for i in range(lo, n + 1)
+            for c, s in fock._t_key(2 * i + 1, key)
+        ]
+
+    return tau(v.apply(images), -1)
+
+
+def test_s_bar_window_matches_the_full_window():
+    for key in energy_keys(8):
+        for n in range(7):
+            assert s_bar_n(n, basis(key)) == s_bar_full_window(n, basis(key)), (key, n)
+
+
 def test_s_n_linearity_and_zero():
     assert s_n_op(2, FockVector.zero()).is_zero()
     v = basis(to_sequence((1,))) + 2 * basis(to_sequence((2,)))

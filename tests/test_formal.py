@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from bosonfermion import fock, schur
 from bosonfermion.fock import FockVector
 from bosonfermion.formal import FormalSum
-from bosonfermion.partitions import ChargedSequence
+from bosonfermion.partitions import ChargedSequence, partitions_up_to, to_sequence
 from bosonfermion.quiver import ArrowElement, FElement
 from bosonfermion.schur import SchurVector
 
@@ -79,6 +80,41 @@ def test_schur_keys_normalised_and_checked_on_every_path():
         v.apply(lambda p: [(1, (1, 2))])
     with pytest.raises(ValueError):
         v.map_keys(lambda p: (0, 1))
+
+
+def private_and_checked(op, *args):
+    """``op(*args)``, and the same call with its one ``_apply`` run through ``apply``."""
+    calls = []
+    unchecked = FormalSum._apply
+
+    def record(self, action):
+        calls.append((self, action))
+        return unchecked(self, action)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FormalSum, "_apply", record)
+        out = op(*args)
+    assert len(calls) == 1, op.__name__
+    vector, action = calls[0]
+    return out, vector.apply(action)
+
+
+def test_operators_build_only_keys_that_pass_the_check():
+    schur_ops = [(schur.apply_q,), (schur.apply_p,)] + [
+        (op, m)
+        for op in (schur.apply_p_row, schur.apply_p_col, schur.apply_q_row, schur.apply_q_col)
+        for m in range(1, 4)
+    ]
+    for p in partitions_up_to(8):
+        v = SchurVector.basis(p)
+        for op, *m in schur_ops:
+            out, checked = private_and_checked(op, *m, v)
+            assert out == checked, (op.__name__, m, p)
+            assert all(type(k) is tuple for k in out.support)
+        w = FockVector.basis(to_sequence(p))
+        for i in range(-8, 9):
+            out, checked = private_and_checked(fock.apply_t, i, w)
+            assert out == checked, (i, p)
 
 
 def test_eq_and_hash_agree_across_paths():

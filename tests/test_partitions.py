@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from bosonfermion.partitions import (
     ChargedSequence,
+    add_box,
     add_horizontal_strips,
     add_vertical_strips,
     added_box,
@@ -23,6 +24,7 @@ from bosonfermion.partitions import (
     to_sequence,
     union_columns,
 )
+from bosonfermion.suites import energy_basis
 
 
 def partitions(max_size=12):
@@ -82,9 +84,32 @@ def test_ind_examples():
     assert ind_set((2, 1)) == {(3, 1), (2, 2), (2, 1, 1)}
 
 
+def brute_ind(p):
+    # oracle: every add_box result that is a partition, one row at a time
+    out = set()
+    for row in range(1, len(p) + 2):
+        try:
+            out.add(add_box(p, (row, part(p, row) + 1)))
+        except ValueError:
+            continue
+    return out
+
+
 def test_res_matches_brute_force():
     for p in partitions_up_to(9):
         assert res_set(p) == brute_res(p), p
+
+
+def test_ind_matches_brute_force():
+    for p in partitions_up_to(9):
+        assert ind_set(p) == brute_ind(p), p
+
+
+def test_res_and_ind_keys_are_normalised():
+    for p in partitions_up_to(9):
+        for q in res_set(p) | ind_set(p):
+            assert type(q) is tuple and all(row > 0 for row in q), (p, q)
+            assert as_partition(q) == q, (p, q)
 
 
 def test_res_ind_adjoint():
@@ -196,6 +221,19 @@ def test_insert_present_value_and_remove_absent_value():
         assert s.insert(x) is None
     for x in (-4, 0, 4):
         assert s.remove(x) is None
+
+
+def test_insert_remove_shift_results_are_canonical():
+    # these results skip __post_init__, so check each against both checked constructors
+    for k in range(-2, 3):
+        for s in energy_basis(6, k):
+            results = [s.shift(steps) for steps in range(-2, 3)]
+            for x in range(s.value(1) - 6, s.first_tail_value + 8, 2):
+                results += [out[1] for out in (s.insert(x), s.remove(x)) if out is not None]
+            for r in results:
+                assert type(r.head) is tuple
+                assert r == ChargedSequence(r.charge, r.head), (s, r)
+                assert r == ChargedSequence.of(r.charge, r.prefix(len(r.head) + 3)), (s, r)
 
 
 def test_odd_values():
