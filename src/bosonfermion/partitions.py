@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 
@@ -146,31 +145,23 @@ def lambda_t(lam: Partition, n: int, t: int) -> Partition:
 
 
 def partitions_of(n: int):
-    """Yield all partitions of n in descending lexicographic order.
-
-    The partitions of each n are enumerated once and cached as a tuple of
-    tuples, so repeated sweeps share them and no caller can change them.
-    """
+    """Yield all partitions of n in descending lexicographic order."""
     if n < 0:
         return
-    yield from _partitions_of(n, n)
+    yield from _partitions_of(n, n, n, ())
 
 
-@lru_cache(maxsize=None)
-def _partitions_of(n: int, rows: int) -> tuple[Partition, ...]:
-    out = []
+def _partitions_of(n: int, rows: int, cap: int, prefix: Partition):
+    """``prefix`` followed by each partition of n into at most ``rows`` parts of at most ``cap``.
 
-    def rec(remaining, cap, rows_left, prefix):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            if remaining > first * rows_left:
-                break  # the rows left, each at most first, cannot hold the rest
-            rec(remaining - first, first, rows_left - 1, prefix + (first,))
-
-    rec(n, n, rows, ())
-    return tuple(out)
+    Generated on demand in descending lexicographic order; nothing is kept.
+    """
+    for first in range(min(n, cap), 1, -1):
+        if n > first * rows:
+            return  # the rows left, each at most first, cannot hold the rest
+        yield from _partitions_of(n - first, rows - 1, first, prefix + (first,))
+    if n <= rows:
+        yield prefix + (1,) * n  # the rest in rows of one box, or nothing left
 
 
 def partitions_up_to(max_size: int):
@@ -187,7 +178,7 @@ def partitions_bounded(max_rows: int, max_size: int):
     if max_rows < 0:
         return
     for n in range(max_size + 1):
-        yield from _partitions_of(n, min(max_rows, n))
+        yield from _partitions_of(n, max_rows, n, ())
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +361,8 @@ class ChargedSequence:
             raise RuntimeError(f"odd doubled energy {total} for {self}")
         return total // 2
 
-    def display(self, extra: int = 2) -> str:
-        shown = self.prefix(len(self.head) + extra)
+    def display(self) -> str:
+        shown = self.prefix(len(self.head) + 2)
         return "(" + ",".join(str(x) for x in shown) + ",...)"
 
 

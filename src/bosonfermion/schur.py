@@ -39,12 +39,12 @@ def schur_basis(p) -> SchurVector:
 
 def apply_q(v: SchurVector) -> SchurVector:
     """Remove one box in all ways; the empty partition maps to zero."""
-    return v._apply(lambda p: [(1, q) for q in sorted(res_set(p))])
+    return v._apply(lambda p: [(1, q) for q in res_set(p)])
 
 
 def apply_p(v: SchurVector) -> SchurVector:
     """Add one box in all ways."""
-    return v._apply(lambda p: [(1, q) for q in sorted(ind_set(p))])
+    return v._apply(lambda p: [(1, q) for q in ind_set(p)])
 
 
 @lru_cache(maxsize=None)

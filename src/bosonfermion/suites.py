@@ -72,20 +72,20 @@ def suite_clifford(max_size: int) -> SuiteResult:
     formatted once and shared by all of its case keys.
     """
     result = SuiteResult("clifford", max_size)
-    keys = [s for k in range(-2, 3) for s in energy_basis(max_size, k)]
     indices = range(-6, 7)
-    for s in keys:
-        v = FockVector.basis(s)
-        text = str(s)
-        first = {j: fock.apply_t(j, v) for j in indices}
-        for i in indices:
-            result.check(f"square i={i} {text}", fock.apply_t(i, first[i]).is_zero())
-            for j in range(i + 1, indices.stop):
-                total = fock.apply_t(i, first[j]) + fock.apply_t(j, first[i])
-                if j == i + 1:
-                    result.check(f"adjacent i={i} j={j} {text}", total == v)
-                else:
-                    result.check(f"anticommute i={i} j={j} {text}", total.is_zero())
+    for k in range(-2, 3):
+        for s in energy_basis(max_size, k):
+            v = FockVector.basis(s)
+            text = str(s)
+            first = {j: fock.apply_t(j, v) for j in indices}
+            for i in indices:
+                result.check(f"square i={i} {text}", fock.apply_t(i, first[i]).is_zero())
+                for j in range(i + 1, indices.stop):
+                    total = fock.apply_t(i, first[j]) + fock.apply_t(j, first[i])
+                    if j == i + 1:
+                        result.check(f"adjacent i={i} j={j} {text}", total == v)
+                    else:
+                        result.check(f"anticommute i={i} j={j} {text}", total.is_zero())
     return result
 
 
@@ -306,8 +306,9 @@ def suite_identities(max_size: int) -> SuiteResult:
 # one size at a time from the default on a 2-vCPU x86 host, each other cap is
 # the largest size that ran in under 30 s and 100 MB.  ``bfhcl`` at 14 takes
 # 6.5 to 6.6 s and 45 MB, and at 15 took 27 s and 130 MB; ``heisenberg`` at
-# 39 took 24 to 26 s and 45 MB, and both runs at 40 took 32 s; ``serre`` at
-# 91 took 24 to 26 s and 32 MB, and at 92 took 29 and 31 s;
+# 39 took 22 to 23 s and 22 MB, and at 40 took 30.5 and 33 s; ``serre`` at
+# 91 took 24 to 29.4 s and 20 MB, and at 92 took 29 and 31 s; ``identities``
+# at 51 took 21 to 29.5 s and 21 MB, and at 52 took 30.5 and 35 s;
 # ``resolutions`` does the same work at every size from 6 up, so its cap is 6.
 SUITES = {
     "clifford": (suite_clifford, 6, 21),
@@ -315,7 +316,7 @@ SUITES = {
     "bfhcl": (suite_bfhcl, 8, 14),
     "serre": (suite_serre, 10, 91),
     "resolutions": (suite_resolutions, 6, 6),
-    "identities": (suite_identities, 12, 44),
+    "identities": (suite_identities, 12, 51),
 }
 
 

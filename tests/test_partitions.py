@@ -278,6 +278,22 @@ def test_partitions_bounded_against_the_filter_model():
             assert list(partitions_bounded(rows, max_size)) == model, (rows, max_size)
 
 
+def test_enumeration_keeps_no_size_level():
+    import tracemalloc
+
+    from bosonfermion.partitions import partitions_bounded
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert sum(1 for _ in partitions_up_to(30)) == 28629
+        assert sum(1 for _ in partitions_bounded(4, 60)) == 31841
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20, f"{kept} bytes stay allocated after the sweeps"
+
+
 # -- normalize --------------------------------------------------------------
 
 def test_normalize_examples():
