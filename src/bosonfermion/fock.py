@@ -6,7 +6,9 @@ partial sums are evaluated over the finite index window that can act
 nontrivially on the support of the input.  Every image is made by
 ``ChargedSequence.insert``, ``remove`` or ``shift`` from a sequence already in
 canonical form, so the operators accumulate through ``FormalSum._apply``
-without checking each key again.
+without checking each key again.  A key is a ``(charge, head)`` tuple, hashed
+and compared by the tuple's own C code, and each image carries a sign of
++-1, which ``_apply`` applies by negation.
 """
 
 from __future__ import annotations
@@ -58,8 +60,12 @@ def _t_key(i: int, key: ChargedSequence):
     """Images of one sequence under t_i as (sign, sequence) pairs."""
     if i % 2 == 0:
         return _psi_key(i // 2, key)
-    j = (i + 1) // 2
-    return _psi_star_key(j, key) + _psi_star_key(j - 1, key)
+    images = []
+    for x in (i + 1, i - 1):  # t_{2j-1} removes 2j, then 2j - 2
+        rem = key.remove(x)
+        if rem is not None:
+            images.append((_sign(rem[0] - 1), rem[1]))
+    return images
 
 
 def apply_psi(j: int, v: FockVector) -> FockVector:

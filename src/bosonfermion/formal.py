@@ -9,7 +9,8 @@ of one type, whose keys have passed it already.  The operators in ``schur``
 and ``fock`` use the private ``_apply``, which skips the hook: their images
 come only from primitives that return normalised keys (``res_set``,
 ``ind_set``, the strip enumerators, ``ChargedSequence.insert``, ``remove``
-and ``shift``).
+and ``shift``).  In ``_apply`` an image coefficient of 1 keeps the stored
+``Fraction`` and one of -1 negates it; only other values multiply.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ class FormalSum:
             images = action(key)
             if images:
                 for c, new_key in images:
-                    _accumulate(data, new_key, coeff if c == 1 else coeff * c)
+                    term = coeff if c == 1 else -coeff if c == -1 else coeff * c
+                    _accumulate(data, new_key, term)
         return self._wrap(data)
 
     def apply(self, action):

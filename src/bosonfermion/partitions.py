@@ -10,8 +10,8 @@ deviates from the tail is stored.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 
 Partition = tuple[int, ...]
@@ -45,7 +45,12 @@ def size(p: Partition) -> int:
 def dual(p: Partition) -> Partition:
     """Conjugate partition (transpose of the diagram)."""
     # the columns p_{i+1} + 1 .. p_i have exactly i boxes
-    return tuple(i for i in range(len(p), 0, -1) for _ in range(p[i - 1] - part(p, i + 1)))
+    cols, below = (), 0
+    for i in range(len(p), 0, -1):
+        row = p[i - 1]
+        cols += (i,) * (row - below)
+        below = row
+    return cols
 
 
 def contains(outer: Partition, inner: Partition) -> bool:
@@ -249,47 +254,47 @@ def remove_vertical_strips(p: Partition, m: int) -> list[Partition]:
 # ---------------------------------------------------------------------------
 # charged sequences
 
-@dataclass(frozen=True, order=True)
-class ChargedSequence:
+class ChargedSequence(tuple):
     """Strictly increasing even sequence equal to ``2i + 2k`` beyond its head.
 
-    The stored head is minimal: trailing head entries that already match the
-    vacuum tail are trimmed, so equality of values is equality of fields.
+    An immutable tuple ``(charge, head)``, so hashing, equality and ordering
+    are the tuple's own.  The stored head is minimal: trailing head entries
+    that already match the vacuum tail are trimmed, so equality of values is
+    equality of fields.  Only the constructor and ``of`` check their input;
+    ``insert``, ``remove`` and ``shift`` build their results from a sequence
+    in canonical form with ``tuple.__new__`` and ``_trim``.
     """
 
-    charge: int
-    head: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for x in self.head:
+    charge = property(itemgetter(0), doc="The charge k of the tail ``2i + 2k``.")
+    head = property(itemgetter(1), doc="The entries before the tail, as a tuple.")
+
+    def __new__(cls, charge: int, head: tuple[int, ...] = ()):
+        head = tuple(head)
+        for x in head:
             if x % 2 != 0:
-                raise ValueError(f"odd entry {x} in {self.head}")
-        for a, b in zip(self.head, self.head[1:]):
+                raise ValueError(f"odd entry {x} in {head}")
+        for a, b in zip(head, head[1:]):
             if a >= b:
-                raise ValueError(f"head not strictly increasing: {self.head}")
-        m = len(self.head)
-        if m and self.head[-1] >= 2 * (m + 1) + 2 * self.charge:
-            raise ValueError(f"head {self.head} overlaps the charge-{self.charge} tail")
-        if m and self.head[-1] == 2 * m + 2 * self.charge:
-            raise ValueError(f"head {self.head} is not in canonical (minimal) form")
+                raise ValueError(f"head not strictly increasing: {head}")
+        m = len(head)
+        if m and head[-1] >= 2 * (m + 1) + 2 * charge:
+            raise ValueError(f"head {head} overlaps the charge-{charge} tail")
+        if m and head[-1] == 2 * m + 2 * charge:
+            raise ValueError(f"head {head} is not in canonical (minimal) form")
+        return tuple.__new__(cls, (charge, head))
+
+    def __getnewargs__(self):
+        return tuple(self)  # copy and pickle rebuild through the checked constructor
+
+    def __repr__(self) -> str:
+        return f"ChargedSequence(charge={self[0]!r}, head={self[1]!r})"
 
     @classmethod
     def of(cls, charge: int, entries) -> "ChargedSequence":
         """Build from the explicit leading values of the sequence, canonicalizing."""
         return cls(charge, _trim(charge, tuple(entries)))
-
-    @classmethod
-    def _canonical(cls, charge: int, head: tuple[int, ...]) -> "ChargedSequence":
-        """``of`` for a head that is even, strictly increasing and below the tail.
-
-        Skips ``__post_init__``: only ``insert``, ``remove`` and ``shift``
-        call it, each on a head made from a sequence in canonical form.
-        """
-        seq = object.__new__(cls)
-        fields = seq.__dict__  # frozen: the fields are set past __setattr__
-        fields["charge"] = charge
-        fields["head"] = _trim(charge, head)
-        return seq
 
     @classmethod
     def vacuum(cls, charge: int) -> "ChargedSequence":
@@ -324,11 +329,14 @@ class ChargedSequence:
         """
         if x % 2 != 0:
             raise ValueError(f"cannot insert odd value {x}")
-        head = self.head
+        charge, head = self
+        m = len(head)
         n = bisect_left(head, x)
-        if x >= self.first_tail_value or (n < len(head) and head[n] == x):
+        if x >= 2 * (m + 1) + 2 * charge or (n < m and head[n] == x):
             return None
-        return n, ChargedSequence._canonical(self.charge - 1, head[:n] + (x,) + head[n:])
+        charge -= 1
+        head = _trim(charge, head[:n] + (x,) + head[n:])
+        return n, tuple.__new__(ChargedSequence, (charge, head))
 
     def remove(self, x: int) -> tuple[int, "ChargedSequence"] | None:
         """Remove x, returning (1-based position of x, new sequence).
@@ -339,20 +347,26 @@ class ChargedSequence:
         """
         if x % 2 != 0:
             return None
-        head = self.head
+        charge, head = self
+        m = len(head)
         k = bisect_left(head, x)
-        if k < len(head) and head[k] == x:
-            return k + 1, ChargedSequence._canonical(self.charge + 1, head[:k] + head[k + 1:])
-        if x < self.first_tail_value:
+        if k < m and head[k] == x:
+            head = head[:k] + head[k + 1:]
+            position = k + 1
+        elif x < 2 * (m + 1) + 2 * charge:
             return None
-        gap_index = (x - 2 * self.charge) // 2
-        gap = tuple(2 * i + 2 * self.charge for i in range(len(head) + 1, gap_index))
-        return gap_index, ChargedSequence._canonical(self.charge + 1, head + gap)
+        else:
+            position = (x - 2 * charge) // 2
+            head += tuple(range(2 * (m + 1) + 2 * charge, x, 2))
+        charge += 1
+        head = _trim(charge, head)
+        return position, tuple.__new__(ChargedSequence, (charge, head))
 
     def shift(self, steps: int) -> "ChargedSequence":
         """Add 2*steps to every entry; charge moves by steps."""
-        head = tuple(h + 2 * steps for h in self.head)
-        return ChargedSequence._canonical(self.charge + steps, head)
+        charge = self.charge + steps
+        head = _trim(charge, tuple(h + 2 * steps for h in self.head))
+        return tuple.__new__(ChargedSequence, (charge, head))
 
     @property
     def energy(self) -> int:

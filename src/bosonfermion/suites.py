@@ -276,7 +276,7 @@ def suite_identities(max_size: int) -> SuiteResult:
         result.check(f"cauchy trial={trial}", co.cauchy_det(a, b) == direct)
     for mu in partitions_up_to(max(max_size, 12)):
         if mu:
-            result.check(f"factorial identity mu={mu}", co.subclaim_identity(mu))
+            result.check(f"factorial identity mu={mu}", co._subclaim_identity(mu))
     for lam in partitions_up_to(min(max_size, 8)):
         k = lam[0] if lam else 1
         c = co.matrix_c(lam, k)
@@ -304,19 +304,21 @@ def suite_identities(max_size: int) -> SuiteResult:
 
 # name -> (suite, default size, largest size ``verify`` accepts).  Stepping up
 # one size at a time from the default on a 2-vCPU x86 host, each other cap is
-# the largest size that ran in under 30 s and 100 MB.  ``bfhcl`` at 14 takes
-# 6.5 to 6.6 s and 45 MB, and at 15 took 27 s and 130 MB; ``heisenberg`` at
-# 39 took 22 to 23 s and 22 MB, and at 40 took 30.5 and 33 s; ``serre`` at
-# 91 took 24 to 29.4 s and 20 MB, and at 92 took 29 and 31 s; ``identities``
-# at 51 took 21 to 29.5 s and 21 MB, and at 52 took 30.5 and 35 s;
-# ``resolutions`` does the same work at every size from 6 up, so its cap is 6.
+# the largest size whose runs all took under 30 s and 100 MB.  ``bfhcl`` at
+# 14 takes 6.5 to 6.6 s and 45 MB, and at 15 took 27 s and 130 MB;
+# ``heisenberg`` at 39 took 22 to 23 s and 22 MB, and at 40 took 30.5 and
+# 33 s; ``serre`` at 103 took 27.9 and 29.7 s and 17 MB, and at 104 and 105
+# took 28.6 to 31.5 s; ``identities`` at 54 took 28.8 and 29.1 s and 17 MB,
+# and at 55 took 32.0 and 34.5 s; ``clifford`` at 23 took 24.8 to 28.6 s and
+# 19.5 MB, and at 24 took 34.0 and 34.4 s; ``resolutions`` does the same work
+# at every size from 6 up, so its cap is 6.
 SUITES = {
-    "clifford": (suite_clifford, 6, 21),
+    "clifford": (suite_clifford, 6, 23),
     "heisenberg": (suite_heisenberg, 10, 39),
     "bfhcl": (suite_bfhcl, 8, 14),
-    "serre": (suite_serre, 10, 91),
+    "serre": (suite_serre, 10, 103),
     "resolutions": (suite_resolutions, 6, 6),
-    "identities": (suite_identities, 12, 51),
+    "identities": (suite_identities, 12, 54),
 }
 
 

@@ -281,3 +281,5 @@ def test_vector_json_round_shape():
 def test_fockvector_rejects_bad_keys():
     with pytest.raises(TypeError):
         FockVector([((1, 2), 1)])
+    with pytest.raises(TypeError):  # equal and hash-equal to the vacuum, but not a sequence
+        FockVector([((0, ()), 1)])

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +57,16 @@ def test_dual_involution(p):
 def test_dual_matches_the_column_count_definition(p):
     expected = tuple(sum(1 for row in p if row >= j) for j in range(1, p[0] + 1)) if p else ()
     assert dual(p) == expected
+
+
+def reference_dual(p):
+    # the nested-generator form dual had before it was built row by row
+    return tuple(i for i in range(len(p), 0, -1) for _ in range(p[i - 1] - part(p, i + 1)))
+
+
+def test_dual_matches_the_nested_generator_form():
+    for p in partitions_up_to(20):
+        assert dual(p) == reference_dual(p), p
 
 
 # -- res / ind --------------------------------------------------------------
@@ -224,7 +237,7 @@ def test_insert_present_value_and_remove_absent_value():
 
 
 def test_insert_remove_shift_results_are_canonical():
-    # these results skip __post_init__, so check each against both checked constructors
+    # these results skip the constructor's check, so check each against both checked constructors
     for k in range(-2, 3):
         for s in energy_basis(6, k):
             results = [s.shift(steps) for steps in range(-2, 3)]
@@ -234,6 +247,53 @@ def test_insert_remove_shift_results_are_canonical():
                 assert type(r.head) is tuple
                 assert r == ChargedSequence(r.charge, r.head), (s, r)
                 assert r == ChargedSequence.of(r.charge, r.prefix(len(r.head) + 3)), (s, r)
+
+
+CONSTRUCTOR_ERRORS = [
+    (0, (-2, 1), "odd entry 1 in (-2, 1)"),
+    (0, (0, -2), "head not strictly increasing: (0, -2)"),
+    (0, (-2, 6), "head (-2, 6) overlaps the charge-0 tail"),
+    (1, (0, 6), "head (0, 6) is not in canonical (minimal) form"),
+]
+
+
+@pytest.mark.parametrize("charge, head, message", CONSTRUCTOR_ERRORS)
+def test_constructor_errors(charge, head, message):
+    with pytest.raises(ValueError) as err:
+        ChargedSequence(charge, head)
+    assert str(err.value) == message
+
+
+def test_of_errors():
+    # of trims the head first, so only the first three errors can reach it
+    for charge, head, message in CONSTRUCTOR_ERRORS[:3]:
+        with pytest.raises(ValueError) as err:
+            ChargedSequence.of(charge, head)
+        assert str(err.value) == message
+    assert ChargedSequence.of(1, (0, 6)) == ChargedSequence(1, (0,))
+
+
+def test_no_public_constructor_skips_the_check():
+    s = to_sequence((2, 1))
+    assert not hasattr(ChargedSequence, "_make") and not hasattr(ChargedSequence, "_replace")
+    assert not hasattr(s, "__dict__")
+    for copied in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(copied) is ChargedSequence and copied == s
+    with pytest.raises(AttributeError):
+        s.charge = 1
+
+
+def test_sequences_hash_compare_and_print_as_charge_head_pairs():
+    sample = [s for k in range(-2, 3) for s in energy_basis(5, k)]
+    pairs = [(s.charge, s.head) for s in sample]
+    assert len(set(sample)) == len(sample)
+    for s, pair in zip(sample, pairs):
+        assert hash(s) == hash(pair) and s == pair and s[0] == s.charge and s[1] == s.head
+        assert repr(s) == str(s) == f"ChargedSequence(charge={pair[0]!r}, head={pair[1]!r})"
+    for s, pair in zip(sample[::7], pairs[::7]):
+        for t, other in zip(sample, pairs):
+            assert (s < t) == (pair < other) and (s == t) == (pair == other)
+    assert sorted(sample) == [ChargedSequence(*pair) for pair in sorted(pairs)]
 
 
 def test_odd_values():
