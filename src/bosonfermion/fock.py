@@ -60,12 +60,8 @@ def _t_key(i: int, key: ChargedSequence):
     """Images of one sequence under t_i as (sign, sequence) pairs."""
     if i % 2 == 0:
         return _psi_key(i // 2, key)
-    images = []
-    for x in (i + 1, i - 1):  # t_{2j-1} removes 2j, then 2j - 2
-        rem = key.remove(x)
-        if rem is not None:
-            images.append((_sign(rem[0] - 1), rem[1]))
-    return images
+    j = (i + 1) // 2
+    return _psi_star_key(j, key) + _psi_star_key(j - 1, key)
 
 
 def apply_psi(j: int, v: FockVector) -> FockVector:

@@ -262,7 +262,12 @@ class ChargedSequence(tuple):
     that already match the vacuum tail are trimmed, so equality of values is
     equality of fields.  Only the constructor and ``of`` check their input;
     ``insert``, ``remove`` and ``shift`` build their results from a sequence
-    in canonical form with ``tuple.__new__`` and ``_trim``.
+    in canonical form with the unchecked ``_canonical``.
+
+    The tuple API comes with the type: ``len(s)`` is 2, ``iter(s)`` yields the
+    charge and then the head, and a sequence equals and hashes like its plain
+    pair, so a plain ``(charge, head)`` finds the sequence's entry in a dict.
+    Only ``FockVector`` rejects a plain pair as a key.
     """
 
     __slots__ = ()
@@ -279,7 +284,7 @@ class ChargedSequence(tuple):
             if a >= b:
                 raise ValueError(f"head not strictly increasing: {head}")
         m = len(head)
-        if m and head[-1] >= 2 * (m + 1) + 2 * charge:
+        if m and head[-1] >= _first_tail_value(charge, m):
             raise ValueError(f"head {head} overlaps the charge-{charge} tail")
         if m and head[-1] == 2 * m + 2 * charge:
             raise ValueError(f"head {head} is not in canonical (minimal) form")
@@ -313,7 +318,7 @@ class ChargedSequence(tuple):
 
     @property
     def first_tail_value(self) -> int:
-        return 2 * (len(self.head) + 1) + 2 * self.charge
+        return _first_tail_value(self[0], len(self[1]))
 
     def __contains__(self, x: int) -> bool:
         if x % 2 != 0:
@@ -332,11 +337,9 @@ class ChargedSequence(tuple):
         charge, head = self
         m = len(head)
         n = bisect_left(head, x)
-        if x >= 2 * (m + 1) + 2 * charge or (n < m and head[n] == x):
+        if x >= _first_tail_value(charge, m) or (n < m and head[n] == x):
             return None
-        charge -= 1
-        head = _trim(charge, head[:n] + (x,) + head[n:])
-        return n, tuple.__new__(ChargedSequence, (charge, head))
+        return n, _canonical(charge - 1, head[:n] + (x,) + head[n:])
 
     def remove(self, x: int) -> tuple[int, "ChargedSequence"] | None:
         """Remove x, returning (1-based position of x, new sequence).
@@ -351,22 +354,15 @@ class ChargedSequence(tuple):
         m = len(head)
         k = bisect_left(head, x)
         if k < m and head[k] == x:
-            head = head[:k] + head[k + 1:]
-            position = k + 1
-        elif x < 2 * (m + 1) + 2 * charge:
+            return k + 1, _canonical(charge + 1, head[:k] + head[k + 1:])
+        tail = _first_tail_value(charge, m)
+        if x < tail:
             return None
-        else:
-            position = (x - 2 * charge) // 2
-            head += tuple(range(2 * (m + 1) + 2 * charge, x, 2))
-        charge += 1
-        head = _trim(charge, head)
-        return position, tuple.__new__(ChargedSequence, (charge, head))
+        return (x - 2 * charge) // 2, _canonical(charge + 1, head + tuple(range(tail, x, 2)))
 
     def shift(self, steps: int) -> "ChargedSequence":
         """Add 2*steps to every entry; charge moves by steps."""
-        charge = self.charge + steps
-        head = _trim(charge, tuple(h + 2 * steps for h in self.head))
-        return tuple.__new__(ChargedSequence, (charge, head))
+        return _canonical(self.charge + steps, tuple(h + 2 * steps for h in self.head))
 
     @property
     def energy(self) -> int:
@@ -378,6 +374,16 @@ class ChargedSequence(tuple):
     def display(self) -> str:
         shown = self.prefix(len(self.head) + 2)
         return "(" + ",".join(str(x) for x in shown) + ",...)"
+
+
+def _first_tail_value(charge: int, m: int) -> int:
+    """The entry ``2i + 2k`` at ``i = m + 1``: the first tail value after an ``m``-entry head."""
+    return 2 * (m + 1) + 2 * charge
+
+
+def _canonical(charge: int, head: tuple[int, ...]) -> ChargedSequence:
+    """The sequence with ``head`` trimmed, built without the constructor's check."""
+    return tuple.__new__(ChargedSequence, (charge, _trim(charge, head)))
 
 
 def _trim(charge: int, head: tuple[int, ...]) -> tuple[int, ...]:

@@ -307,10 +307,10 @@ def suite_identities(max_size: int) -> SuiteResult:
 # the largest size whose runs all took under 30 s and 100 MB.  ``bfhcl`` at
 # 14 takes 6.5 to 6.6 s and 45 MB, and at 15 took 27 s and 130 MB;
 # ``heisenberg`` at 39 took 22 to 23 s and 22 MB, and at 40 took 30.5 and
-# 33 s; ``serre`` at 103 took 27.9 and 29.7 s and 17 MB, and at 104 and 105
-# took 28.6 to 31.5 s; ``identities`` at 54 took 28.8 and 29.1 s and 17 MB,
-# and at 55 took 32.0 and 34.5 s; ``clifford`` at 23 took 24.8 to 28.6 s and
-# 19.5 MB, and at 24 took 34.0 and 34.4 s; ``resolutions`` does the same work
+# 33 s; ``serre`` at 103 took 26.0 and 27.9 s and 17 MB, and at 104 took
+# 29.7 and 30.8 s; ``identities`` at 54 took 27.2 and 28.4 s and 17 MB, and
+# at 55 took 29.7 and 33.8 s; ``clifford`` at 23 took 24.9 to 28.1 s and
+# 19.4 MB, and at 24 took 30.3 and 36.0 s; ``resolutions`` does the same work
 # at every size from 6 up, so its cap is 6.
 SUITES = {
     "clifford": (suite_clifford, 6, 23),

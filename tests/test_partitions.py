@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonfermion.fock import FockVector
 from bosonfermion.partitions import (
     ChargedSequence,
     add_box,
@@ -294,6 +295,11 @@ def test_sequences_hash_compare_and_print_as_charge_head_pairs():
         for t, other in zip(sample, pairs):
             assert (s < t) == (pair < other) and (s == t) == (pair == other)
     assert sorted(sample) == [ChargedSequence(*pair) for pair in sorted(pairs)]
+    # the tuple API comes with the type: two items, and a plain pair finds the sequence's term
+    s = to_sequence((2, 1))
+    assert len(s) == 2 and tuple(s) == (s.charge, s.head)
+    vac = FockVector.basis(ChargedSequence.vacuum(0))
+    assert vac.coefficient((0, ())) == 1 and (0, ()) in vac.support
 
 
 def test_odd_values():
