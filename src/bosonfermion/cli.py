@@ -30,6 +30,13 @@ MAX_FOCK_INDEX = 1000
 # Largest |charge| of an ``act --on`` sequence, for the same reason: a tail
 # removal from a charge-k sequence materialises about |k| head entries.
 MAX_FOCK_CHARGE = 1000
+# Largest partition a strip operator of ``act`` reads or builds: |lam| for
+# q_row and q_col, |lam| + m for p_row and p_col.  The strip enumerator recurses
+# once per row it walks and lists every image, so (2000) with q_col1 overflows
+# the stack and q_row10 on the 40-row staircase has 8.5e8 images.  At the cap
+# the worst input a search over shapes found took 0.8 s and 65 MB (p_col16 on
+# the dual of (26,19,15,10,7,4,2,1): 37798 images, --json, 2-vCPU x86 host).
+MAX_STRIP_SIZE = 100
 # Largest k of ``det`` and largest first row of ``complex``: C is k x k, its
 # Bareiss determinant takes about k^3 Fraction operations on growing entries
 # (k = 60 takes about 1 s on a 2-vCPU x86 host), and ``complex`` builds and
@@ -37,8 +44,8 @@ MAX_FOCK_CHARGE = 1000
 MAX_DET_K = 60
 # Largest |mu| of ``coeff``: the oracle acts on the tableaux of lam1, two
 # sizes below mu, and its time and memory grow with their number (the path
-# (5,4,2,1) -> (5,4,3,1) -> (5,4,3,2), |mu| = 14, takes 0.06 to 0.07 s and
-# 19 MB, import included).
+# (5,4,2,1) -> (5,4,3,1) -> (5,4,3,2), |mu| = 14, takes 0.08 to 0.10 s and
+# 19 MB, import included, on a 2-vCPU x86 host).
 MAX_COEFF_SIZE = 14
 # Largest n of ``resolve``: the q resolution has n + 1 labels of n rows each,
 # so its time, memory and output grow at least quadratically in n.  At 500
@@ -49,6 +56,12 @@ MAX_RESOLVE_N = 500
 # the distinct parts of --lam of multiplicity m: a staircase of k rows has 2^k.
 # Staircases of 14, 15 and 16 rows took 0.48, 0.67 and 1.52 s (2-vCPU x86 host).
 MAX_SIMPLE_LABELS = 16384
+# Largest first row of ``resolve --kind simple``: its vertical strips are
+# enumerated on the dual of --lam, one recursion level per column, so lam_1 =
+# 2000 overflows the stack.  At the cap the worst input tried took 1.4 to 1.8 s
+# and 93 MB (127 rows of 20 over 127 rows of 1: 16384 labels, --n 500, --json),
+# against 1.0 s for 2 in place of 20 (2-vCPU x86 host).
+MAX_SIMPLE_FIRST_ROW = 20
 
 
 class CliError(ValueError):
@@ -138,7 +151,11 @@ def run_act(args) -> int:
         raise CliError(f"index {idx} of {name!r} exceeds the cap |index| <= {MAX_FOCK_INDEX}")
     space, act = _ACT[name]
     if space == "schur":
-        v, text = schur_basis(parse_partition(args.on)), schur_text
+        lam = parse_partition(args.on)
+        reach = sum(lam) + (idx if name.startswith("p_") else 0)
+        if idx is not None and reach > MAX_STRIP_SIZE:
+            raise CliError(f"{op} works on a partition of size {reach}, above the cap {MAX_STRIP_SIZE}")
+        v, text = schur_basis(lam), schur_text
     else:
         v, text = FockVector.basis(parse_sequence(args.on)), fock_text
     out = act(idx, v)
@@ -213,6 +230,8 @@ def run_resolve(args) -> int:
     if n > MAX_RESOLVE_N:
         raise CliError(f"--n {n} exceeds the cap --n <= {MAX_RESOLVE_N}")
     if args.kind == "simple":
+        if lam and lam[0] > MAX_SIMPLE_FIRST_ROW:
+            raise CliError(f"lam_1 = {lam[0]} exceeds the cap lam_1 <= {MAX_SIMPLE_FIRST_ROW}")
         labels = math.prod(lam.count(x) + 1 for x in set(lam))
         if labels > MAX_SIMPLE_LABELS:
             raise CliError(f"the simple resolution has {labels} labels, above the cap {MAX_SIMPLE_LABELS}")

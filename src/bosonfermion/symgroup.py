@@ -12,19 +12,15 @@ diagonally by 1/d when the swap is not standard (|d| = 1), and otherwise by
     s . v_T  =  (1/d) v_T + ((d-1)/d) v_{T'},      T' = swapped tableau,
 
 after rescaling each basis vector by a constant c_T normalized to 1 on the
-row-major filling.  ``_act`` is the one place this rule is written, and
-everything is keyed by content vector: the dense ``rep_action`` and
-``f_map`` index their rows and columns locally, largest content vector
-first.  The module also computes the rescaling constant h attached to each
-box-adding edge and the structure constants of the restriction map on
-projectives, both in closed form and from first principles (the oracle).
-``removal_path`` is the one check that lam1 -> lam -> mu adds one box at a
-time; it gives the two added boxes and the branches, and every coefficient
-route, here and in :mod:`bosonfermion.correspondence`, starts from it; a
-caller holding a path runs each route's private body on it, building it once.
-The oracle reads only the tableaux of lam1, two sizes below mu: the image
-of cv under lam1 -> lam -> mu is cv + (c1, c2), with c1 and c2 the contents
-of the added boxes, and s_{n-1} acts on it through d = c2 - c1 alone.
+row-major filling.  ``_act`` is the one place this rule is written.  The
+module computes the rescaling constant h of each box-adding edge and the
+structure constants of the restriction map on projectives, in closed form
+and from first principles (the oracle).  ``removal_path`` is the one check
+that lam1 -> lam -> mu adds one box at a time; every coefficient route,
+here and in :mod:`bosonfermion.correspondence`, starts from it, and a
+caller holding a path runs each route's private body on it.  The oracle
+reads only the tableaux of lam1: s_{n-1} acts on the image cv + (c1, c2) of
+each, c1 and c2 the contents of the added boxes, through d = c2 - c1 alone.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from .partitions import (
     removable_corners,
     remove_box,
 )
-from .ratmat import RationalMatrix
 
 LAM_BRANCH = "lam"
 NU_BRANCH = "nu"
@@ -78,57 +73,9 @@ def tableau_rows(cv: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-def row_filling(shape: Partition) -> tuple[int, ...]:
-    """Content vector of the tableau filled 1..n left to right along consecutive rows."""
-    return tuple(c - r for r, length in enumerate(as_partition(shape), start=1) for c in range(1, length + 1))
-
-
 def _swapped(cv: tuple[int, ...], i: int) -> tuple[int, ...]:
     """The content vector with entries i and i+1 exchanged."""
     return cv[: i - 1] + (cv[i], cv[i - 1]) + cv[i + 1 :]
-
-
-def _dense(rows, column_cvs) -> RationalMatrix:
-    """Dense matrix of sparse rows of (content vector, value) pairs, columns in ``column_cvs`` order."""
-    index = {cv: col for col, cv in enumerate(column_cvs)}
-    out = [[Fraction(0)] * len(index) for _ in rows]
-    for out_row, row in zip(out, rows):
-        for cv, value in row:
-            out_row[index[cv]] = value
-    return RationalMatrix(out)
-
-
-@lru_cache(maxsize=None)
-def _scale_table(shape: Partition) -> dict[tuple[int, ...], Fraction]:
-    """Rescaling constants by content vector, checked for independence of the defining path.
-
-    Walks breadth-first from the row-major filling along the standard swaps
-    with content difference d <= -2, exactly the swaps that raise the
-    Coxeter length by one, and multiplies by d/(d-1) along each.
-    """
-    table = {row_filling(shape): Fraction(1)}
-    queue = list(table)
-    for cv in queue:  # grows while it is read, so the walk is breadth-first
-        for i in range(1, len(cv)):
-            d = cv[i] - cv[i - 1]
-            if d > -2:
-                continue
-            other = _swapped(cv, i)
-            value = Fraction(d, d - 1) * table[cv]
-            if other in table:
-                if table[other] != value:
-                    raise RuntimeError(f"inconsistent rescaling constants for {other}")
-            else:
-                table[other] = value
-                queue.append(other)
-    total = len(tableaux(shape))
-    if len(table) != total:
-        raise RuntimeError(f"rescaling constants reach {len(table)} of {total} tableaux")
-    return table
-
-
-def c_scale(shape, cv: tuple[int, ...]) -> Fraction:
-    return _scale_table(as_partition(shape))[cv]
 
 
 @lru_cache(maxsize=None)
@@ -148,33 +95,6 @@ def _act(i: int, cv: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fraction],
     if abs(d) == 1:
         return ((cv, diagonal),)
     return ((cv, diagonal), (_swapped(cv, i), off_diagonal))
-
-
-def rep_action(i: int, shape) -> RationalMatrix:
-    """Matrix of the i-th adjacent transposition in the rescaled basis.
-
-    Rows and columns follow the tableaux of the shape, largest content
-    vector first.  Row t holds the expansion of the image of the t-th basis
-    vector, so composite actions multiply on the right.
-    """
-    shape = as_partition(shape)
-    n = sum(shape)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for n={n}")
-    cvs = tableaux(shape)
-    return _dense([_act(i, cv) for cv in cvs], cvs)
-
-
-def f_map(lam, mu) -> RationalMatrix:
-    """Inclusion sending a tableau of lam to its extension by the next entry.
-
-    The extension appends the content of the added box.  Rows are indexed
-    by tableaux of lam, columns by tableaux of mu, largest content vector
-    first.
-    """
-    lam, mu = as_partition(lam), as_partition(mu)
-    c, one = content(added_box(lam, mu)), Fraction(1)
-    return _dense([((cv + (c,), one),) for cv in tableaux(lam)], tableaux(mu))
 
 
 class RemovalPath(NamedTuple):

@@ -9,6 +9,7 @@ from bosonfermion.cli import (
     MAX_DET_K,
     MAX_FOCK_CHARGE,
     MAX_FOCK_INDEX,
+    MAX_STRIP_SIZE,
     main,
     parse_partition,
     parse_sequence,
@@ -96,6 +97,28 @@ def test_act_charge_cap(capsys, on):
         code, out, err = run(capsys, "act", "--op", "t1", "--on", on.format(k=k))
         assert code == 2 and out == "", k
         assert f"|charge| <= {MAX_FOCK_CHARGE}" in err
+
+
+@pytest.mark.parametrize("op", ["p_row", "p_col", "q_row", "q_col"])
+def test_act_caps_the_partition_a_strip_operator_reads_or_builds(monkeypatch, capsys, op):
+    def unreachable(m, v):
+        raise AssertionError("the strip images were built")
+
+    cap, m, apply = MAX_STRIP_SIZE, 1, f"apply_{op}"
+    adds = op.startswith("p_")
+    boxes = cap - m if adds else cap
+    real = getattr(cli.schur, apply)
+    # one row and one column: the row and the column strips walk either one
+    for shape in (lambda k: f"({k})", lambda k: "(" + ",".join(["1"] * k) + ")"):
+        monkeypatch.setattr(cli.schur, apply, unreachable)
+        code, out, err = run(capsys, "act", "--op", f"{op}{m}", "--on", shape(boxes + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: {op}{m} works on a partition of size {cap + 1}, above the cap {cap}\n"
+        monkeypatch.setattr(cli.schur, apply, real)
+        code, out, _ = run(capsys, "act", "--op", f"{op}{m}", "--on", shape(boxes), "--json")
+        images = [term["partition"] for term in json.loads(out)["vector"]]
+        assert code == 0 and images
+        assert {sum(p) for p in images} == {cap if adds else cap - m}
 
 
 _STRIP_ACT_PINNED = {
@@ -418,6 +441,23 @@ def test_resolve_rejects_a_simple_resolution_over_the_label_cap(monkeypatch, cap
     ones = "(" + ",".join(["1"] * 200) + ")"
     code, out, _ = run(capsys, "resolve", "--kind", "simple", "--lam", ones, "--n", "200")
     assert code == 0 and built[-1] == ((1,) * 200, 200)
+
+
+def test_resolve_rejects_a_simple_first_row_over_the_cap(monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("the resolution was built")
+
+    cap = cli.MAX_SIMPLE_FIRST_ROW
+    monkeypatch.setattr(cli.quiver, "resolution_simple", unreachable)
+    code, out, err = run(capsys, "resolve", "--kind", "simple", "--lam", f"({cap + 1})", "--n", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: lam_1 = {cap + 1} exceeds the cap lam_1 <= {cap}\n"
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "resolve", "--kind", "simple", "--lam", f"({cap})", "--n", "1", "--json")
+    assert code == 0 and json.loads(out)["lam"] == [cap]
+    # the other kinds walk no strips of --lam
+    code, out, _ = run(capsys, "resolve", "--kind", "q", "--lam", f"({cap + 1})", "--n", "1", "--json")
+    assert code == 0 and json.loads(out)["lam"] == [cap + 1]
 
 
 # Calls that argparse itself answers or rejects, plus one that runs: each must

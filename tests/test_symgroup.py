@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -25,12 +26,8 @@ from bosonfermion.symgroup import (
     a_closed_expanded,
     a_coeff,
     a_oracle,
-    c_scale,
-    f_map,
     h_coeff,
     removal_path,
-    rep_action,
-    row_filling,
     square_coeffs,
     tableau_rows,
     tableaux,
@@ -47,6 +44,75 @@ def hook_count(shape):
         for c in range(1, row + 1):
             product *= (row - c) + (cols[c - 1] - r) + 1
     return factorial(n) // product
+
+
+# -- the dense model ------------------------------------------------------------
+# Matrices built from the library's ``_act`` and ``tableaux`` alone: rows and
+# columns follow the tableaux of a shape, largest content vector first.
+
+def row_filling(shape):
+    """Content vector of the tableau filled 1..n left to right along consecutive rows."""
+    return tuple(c - r for r, length in enumerate(as_partition(shape), start=1) for c in range(1, length + 1))
+
+
+def _dense(rows, column_cvs):
+    """Dense matrix of sparse rows of (content vector, value) pairs, columns in ``column_cvs`` order."""
+    index = {cv: col for col, cv in enumerate(column_cvs)}
+    out = [[Fraction(0)] * len(index) for _ in rows]
+    for out_row, row in zip(out, rows):
+        for cv, value in row:
+            out_row[index[cv]] = value
+    return RationalMatrix(out)
+
+
+@lru_cache(maxsize=None)
+def _scale_table(shape):
+    """Rescaling constants by content vector, checked for independence of the defining path.
+
+    Walks breadth-first from the row-major filling along the standard swaps
+    with content difference d <= -2, exactly the swaps that raise the
+    Coxeter length by one, and multiplies by d/(d-1) along each.
+    """
+    table = {row_filling(shape): Fraction(1)}
+    queue = list(table)
+    for cv in queue:  # grows while it is read, so the walk is breadth-first
+        for i in range(1, len(cv)):
+            d = cv[i] - cv[i - 1]
+            if d > -2:
+                continue
+            other = symgroup._swapped(cv, i)
+            value = Fraction(d, d - 1) * table[cv]
+            if other in table:
+                if table[other] != value:
+                    raise RuntimeError(f"inconsistent rescaling constants for {other}")
+            else:
+                table[other] = value
+                queue.append(other)
+    total = len(tableaux(shape))
+    if len(table) != total:
+        raise RuntimeError(f"rescaling constants reach {len(table)} of {total} tableaux")
+    return table
+
+
+def c_scale(shape, cv):
+    return _scale_table(as_partition(shape))[cv]
+
+
+def rep_action(i, shape):
+    """Matrix of the i-th adjacent transposition; row t is the image of the t-th basis vector."""
+    shape = as_partition(shape)
+    n = sum(shape)
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range for n={n}")
+    cvs = tableaux(shape)
+    return _dense([symgroup._act(i, cv) for cv in cvs], cvs)
+
+
+def f_map(lam, mu):
+    """Inclusion sending a tableau of lam to its extension by the content of the added box."""
+    lam, mu = as_partition(lam), as_partition(mu)
+    c = content(added_box(lam, mu))
+    return _dense([((cv + (c,), Fraction(1)),) for cv in tableaux(lam)], tableaux(mu))
 
 
 # -- tableaux -----------------------------------------------------------------
