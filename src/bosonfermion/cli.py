@@ -31,10 +31,11 @@ MAX_FOCK_INDEX = 1000
 # removal from a charge-k sequence materialises about |k| head entries.
 MAX_FOCK_CHARGE = 1000
 # Largest partition a strip operator of ``act`` reads or builds: |lam| for
-# q_row and q_col, |lam| + m for p_row and p_col.  The strip enumerator recurses
-# once per row it walks and lists every image, so (2000) with q_col1 overflows
-# the stack and q_row10 on the 40-row staircase has 8.5e8 images.  At the cap
-# the worst input a search over shapes found took 0.8 s and 65 MB (p_col16 on
+# q_row and q_col, |lam| + m for p_row and p_col.  The strip enumerator walks
+# the rows without recursing, so a long row or column is cheap (q_col1 on
+# (2000) takes 0.14 s with this cap lifted); the cap bounds the images it lists
+# and prints: q_row10 on the 40-row staircase has 8.5e8.  At the cap the worst
+# input a search over shapes found took 0.85 to 0.93 s and 66 MB (p_col16 on
 # the dual of (26,19,15,10,7,4,2,1): 37798 images, --json, 2-vCPU x86 host).
 MAX_STRIP_SIZE = 100
 # Largest k of ``det`` and largest first row of ``complex``: C is k x k, its
@@ -53,14 +54,19 @@ MAX_COEFF_SIZE = 14
 # 1.6 s and 44 MB at 1000, and 10.8 s and 117 MB at 2000 (2-vCPU x86 host).
 MAX_RESOLVE_N = 500
 # Largest label count of ``resolve --kind simple``, the product of (m + 1) over
-# the distinct parts of --lam of multiplicity m: a staircase of k rows has 2^k.
-# Staircases of 14, 15 and 16 rows took 0.48, 0.67 and 1.52 s (2-vCPU x86 host).
+# the distinct parts of --lam of multiplicity m: a staircase of k rows has 2^k,
+# and staircases of 14, 15 and 16 rows took 0.4, 0.7 and 1.2 s (--n 500, --json).
+# The worst input at the cap has long labels, since --n <= 500 and not this cap
+# bounds a label's length: 127 rows of 2 over 127 rows of 1 (16384 labels of
+# 254 rows, --n 500, --json) took 1.2 to 1.6 s and 87 MB and printed 9.4 MB
+# (2-vCPU x86 host).
 MAX_SIMPLE_LABELS = 16384
 # Largest first row of ``resolve --kind simple``: its vertical strips are
-# enumerated on the dual of --lam, one recursion level per column, so lam_1 =
-# 2000 overflows the stack.  At the cap the worst input tried took 1.4 to 1.8 s
-# and 93 MB (127 rows of 20 over 127 rows of 1: 16384 labels, --n 500, --json),
-# against 1.0 s for 2 in place of 20 (2-vCPU x86 host).
+# enumerated on the dual of --lam, which has lam_1 rows, and every label is
+# walked and transposed across them, so at a fixed label count the time grows
+# with lam_1.  127 rows of L over 127 rows of 1 (16384 labels, --n 500, --json)
+# took 1.2 to 1.6 s at L = 2, 1.6 to 1.8 s and 93 MB at the cap L = 20, and
+# 2.0, 3.1 and 4.3 s at L = 40, 100 and 200 (2-vCPU x86 host).
 MAX_SIMPLE_FIRST_ROW = 20
 
 

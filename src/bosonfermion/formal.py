@@ -1,16 +1,22 @@
 """Finite formal sums with exact rational coefficients.
 
-Every stored coefficient is a nonzero ``Fraction``, whatever numbers went in.
-Terms are combined by one accumulation routine, ``_accumulate``.  Every public
-entry point checks its keys: a key given to the constructor, or made by the
-map given to ``apply`` or ``map_keys``, first passes the subclass hook
-``_check_key``.  ``__add__`` and ``linear_combination`` combine only vectors
-of one type, whose keys have passed it already.  The operators in ``schur``
-and ``fock`` use the private ``_apply``, which skips the hook: their images
-come only from primitives that return normalised keys (``res_set``,
+A stored coefficient is nonzero and exact: an ``int`` when it is integral,
+else a ``Fraction``, whatever numbers went in.  The operators of the paper
+have integer coefficients (Clifford signs, strip multiplicities), so their
+sums, signs and zero tests run on ``int``.  Every reader (``items``,
+``sorted_items``, ``coefficient``, and through them the text, JSON and repr)
+sees a ``Fraction``.  Terms are combined by one accumulation routine,
+``_accumulate``.
+
+Every public entry point checks its keys: a key given to the constructor, or
+made by the map given to ``apply`` or ``map_keys``, first passes the subclass
+hook ``_check_key``.  ``__add__`` and ``linear_combination`` combine only
+vectors of one type, whose keys have passed it already.  The operators in
+``schur`` and ``fock`` use the private ``_apply``, which skips the hook: their
+images come only from primitives that return normalised keys (``res_set``,
 ``ind_set``, the strip enumerators, ``ChargedSequence.insert``, ``remove``
 and ``shift``).  In ``_apply`` an image coefficient of 1 keeps the stored
-``Fraction`` and one of -1 negates it; only other values multiply.
+coefficient and one of -1 negates it; only other values multiply.
 """
 
 from __future__ import annotations
@@ -20,15 +26,31 @@ from fractions import Fraction
 from .ratmat import format_fraction
 
 
+def _exact(coeff):
+    """``coeff`` as it is stored: an ``int`` when it is integral, else a ``Fraction``."""
+    if type(coeff) is int:
+        return coeff
+    if type(coeff) is not Fraction:
+        coeff = Fraction(coeff)
+    return coeff.numerator if coeff.denominator == 1 else coeff
+
+
+def _public(coeff) -> Fraction:
+    """A stored coefficient as its readers get it."""
+    return Fraction(coeff) if type(coeff) is int else coeff
+
+
 def _accumulate(data: dict, key, coeff) -> None:
     """Add ``coeff * key`` into ``data``; a key whose coefficient cancels is removed.
 
-    Only a coefficient that is not a ``Fraction`` yet is wrapped in one.
+    Each sum is stored through ``_exact``, so 1/2 + 1/2 is stored as ``1``.
     """
-    if type(coeff) is not Fraction:
-        coeff = Fraction(coeff)
+    if type(coeff) is not int:
+        coeff = _exact(coeff)
     if key in data:
         coeff = data[key] + coeff
+        if type(coeff) is not int:
+            coeff = _exact(coeff)
         if not coeff:
             del data[key]
             return
@@ -40,8 +62,11 @@ def _accumulate(data: dict, key, coeff) -> None:
 class FormalSum:
     """A finite linear combination of hashable basis keys over the rationals.
 
-    Coefficients are always ``Fraction`` and zero coefficients are never
-    stored, so equality of term dictionaries is equality of vectors.
+    A coefficient is stored as an ``int`` when it is integral and as a
+    ``Fraction`` otherwise, and zero coefficients are never stored, so
+    equality of term dictionaries is equality of vectors (``1 == Fraction(1)``
+    and their hashes agree).  Every coefficient a caller reads is a
+    ``Fraction``.
     Subclasses validate or normalise keys by overriding ``_check_key``.
     """
 
@@ -86,14 +111,15 @@ class FormalSum:
                 _accumulate(data, key, coeff if scalar == 1 else coeff * scalar)
         return cls._wrap(data)
 
-    def items(self):
-        return self._terms.items()
+    def items(self) -> list:
+        """The (key, coefficient) pairs, each coefficient a ``Fraction``."""
+        return [(key, _public(coeff)) for key, coeff in self._terms.items()]
 
-    def sorted_items(self):
-        return sorted(self._terms.items(), key=lambda kv: kv[0])
+    def sorted_items(self) -> list:
+        return sorted(self.items(), key=lambda kv: kv[0])
 
     def coefficient(self, key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+        return _public(self._terms.get(key, 0))
 
     @property
     def support(self):
@@ -128,8 +154,8 @@ class FormalSum:
         return (-1) * self
 
     def __rmul__(self, scalar):
-        c = Fraction(scalar)
-        return self._wrap({k: c * v for k, v in self._terms.items()} if c else {})
+        c = _exact(scalar)
+        return self._wrap({k: _exact(c * v) for k, v in self._terms.items()} if c else {})
 
     def _apply(self, action):
         """``apply`` for an ``action`` whose image keys are basis keys already.

@@ -10,7 +10,7 @@ deviates from the tail is stored.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import product
+from itertools import accumulate, product
 from operator import itemgetter
 
 
@@ -196,9 +196,13 @@ def interlacing(p: Partition, above: bool = False, total: int | None = None) -> 
     p/q is a horizontal strip; above p it ranges over p_i <= q_i <= p_{i-1},
     so q/p is one, and the first row is bounded by ``total`` alone, which is
     then required.  With ``total`` only the q of that size are listed.  The
-    rows are chosen independently, so partial sums are pruned exactly, and
-    ascending padded rows are ascending trimmed tuples: nothing is sorted.
-    A zero row is followed by zero rows only, so it is never appended.
+    rows are chosen independently, so partial sums are pruned exactly and
+    every partial choice completes.  The walk is an odometer over the rows:
+    each q is the previous one with its last row that can still grow raised
+    by one and the rows after it reset to their least values, so a long row
+    or column costs no stack and a chain of forced rows is written once per
+    image.  Ascending padded rows are ascending trimmed tuples, so nothing is
+    sorted; only the last row can be zero.
     """
     if above:
         if total is None:
@@ -209,22 +213,28 @@ def interlacing(p: Partition, above: bool = False, total: int | None = None) -> 
     rows = len(lows)
     if total is not None and not sum(lows) <= total <= sum(highs):
         return []
-    lo_tail = [sum(lows[i + 1:]) for i in range(rows)]
-    hi_tail = [sum(highs[i + 1:]) for i in range(rows)]
+    if not rows:
+        return [()]
+    lo_tail = list(accumulate(reversed(lows[1:]), initial=0))[::-1]  # sum(lows[i + 1:])
+    hi_tail = list(accumulate(reversed(highs[1:]), initial=0))[::-1]
+    q = [0] * rows
+    left = [total or 0] * (rows + 1)  # left[i]: the boxes rows i, i+1, ... still take
     out = []
-
-    def rec(i, left, prefix):
-        if i == rows:
-            out.append(prefix)
-            return
-        lo, hi = lows[i], highs[i]
-        if total is not None:
-            lo, hi = max(lo, left - hi_tail[i]), min(hi, left - lo_tail[i])
-        for val in range(lo, hi + 1):
-            rec(i + 1, left - val, prefix + (val,) if val else prefix)
-
-    rec(0, total or 0, ())
-    return out
+    i = 0
+    while True:
+        for j in range(i, rows):
+            lo = lows[j] if total is None else max(lows[j], left[j] - hi_tail[j])
+            q[j] = lo
+            left[j + 1] = left[j] - lo
+        out.append(tuple(q) if q[-1] else tuple(q[:-1]))
+        i = rows - 1
+        while q[i] == (highs[i] if total is None else min(highs[i], left[i] - lo_tail[i])):
+            i -= 1
+            if i < 0:
+                return out
+        q[i] += 1
+        left[i + 1] -= 1
+        i += 1
 
 
 def add_horizontal_strips(p: Partition, m: int) -> list[Partition]:

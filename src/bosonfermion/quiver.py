@@ -70,7 +70,8 @@ class FElement(FormalSum):
 
     def __mul__(self, other: "FElement") -> "FElement":
         return FElement.linear_combination(
-            (ca * cb, multiply(a, b)) for a, ca in self.items() for b, cb in other.items()
+            (ca * cb, multiply(a, b))
+            for a, ca in self._terms.items() for b, cb in other._terms.items()
         )
 
 

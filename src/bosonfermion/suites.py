@@ -304,19 +304,20 @@ def suite_identities(max_size: int) -> SuiteResult:
 
 # name -> (suite, default size, largest size ``verify`` accepts).  Stepping up
 # one size at a time from the default on a 2-vCPU x86 host, each other cap is
-# the largest size whose runs all took under 30 s and 100 MB.  ``bfhcl`` at
-# 14 takes 6.5 to 6.6 s and 45 MB, and at 15 took 27 s and 130 MB;
-# ``heisenberg`` at 39 took 22 to 23 s and 22 MB, and at 40 took 30.5 and
-# 33 s; ``serre`` at 103 took 26.0 and 27.9 s and 17 MB, and at 104 took
-# 29.7 and 30.8 s; ``identities`` at 54 took 27.2 and 28.4 s and 17 MB, and
-# at 55 took 29.7 and 33.8 s; ``clifford`` at 23 took 24.9 to 28.1 s and
-# 19.4 MB, and at 24 took 30.3 and 36.0 s; ``resolutions`` does the same work
-# at every size from 6 up, so its cap is 6.
+# the largest size whose runs all took under 30 s and 100 MB; the cap and the
+# size above it are each run at least twice, since one run is within the
+# host's noise.  ``bfhcl`` at 14 takes 6.5 to 6.6 s and 45 MB, and at 15 took
+# 27 s and 130 MB; ``heisenberg`` at 41 took 28.4 and 22.7 s and 22 MB, and at
+# 42 took 30.2 and 24.5 s; ``serre`` at 113 took 21.4 and 27.2 s and 17 MB,
+# and at 114 took 26.2 and 32.2 s; ``identities`` at 54 took 27.2 and 28.4 s
+# and 17 MB, and at 55 took 29.7 and 33.8 s; ``clifford`` at 25 took 29.0 and
+# 27.5 s and 20 MB, and at 26 took 35.5 and 32.4 s; ``resolutions`` does the
+# same work at every size from 6 up, so its cap is 6.
 SUITES = {
-    "clifford": (suite_clifford, 6, 23),
-    "heisenberg": (suite_heisenberg, 10, 39),
+    "clifford": (suite_clifford, 6, 25),
+    "heisenberg": (suite_heisenberg, 10, 41),
     "bfhcl": (suite_bfhcl, 8, 14),
-    "serre": (suite_serre, 10, 103),
+    "serre": (suite_serre, 10, 113),
     "resolutions": (suite_resolutions, 6, 6),
     "identities": (suite_identities, 12, 54),
 }

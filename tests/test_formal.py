@@ -1,5 +1,6 @@
 """Invariants of the formal-sum layer on every construction path."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -141,3 +142,96 @@ def test_text_and_json_formatting():
         {"partition": [2], "coefficient": "1"},
         {"partition": [3], "coefficient": "2"},
     ]
+
+
+def assert_stored_exactly(v):
+    # the storage rule: nonzero, an int when integral, else a Fraction
+    for c in v._terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def test_integral_coefficients_are_stored_as_int():
+    v = FormalSum([("a", Fraction(4, 2)), ("b", Fraction(1, 2)), ("c", Fraction(1, 3)), ("b", 1)])
+    assert v._terms == {"a": 2, "b": Fraction(3, 2), "c": Fraction(1, 3)}
+    assert type(v._terms["a"]) is int and type(v._terms["b"]) is Fraction
+    halves = FormalSum([("a", Fraction(1, 2)), ("a", Fraction(1, 2)), ("b", 1), ("b", Fraction(-1, 2))])
+    assert type(halves._terms["a"]) is int and halves._terms["a"] == 1
+    assert type(halves._terms["b"]) is Fraction
+    summed = FormalSum([("x", Fraction(1, 3))]) + FormalSum([("x", Fraction(2, 3))])
+    assert type(summed._terms["x"]) is int
+    assert type((2 * FormalSum([("x", Fraction(1, 2))]))._terms["x"]) is int
+    assert type(FormalSum([("x", True)])._terms["x"]) is int
+    cancelled = FormalSum([("a", Fraction(1, 2)), ("b", 1), ("a", Fraction(-1, 2))])
+    assert cancelled._terms == {"b": 1} and "a" not in cancelled._terms
+    assert (halves - halves)._terms == {}
+    for w in (v, halves, summed, cancelled):
+        assert_stored_exactly(w)
+        assert all(type(c) is Fraction for c in coefficients(w))
+        assert all(type(c) is Fraction for _, c in w.sorted_items())
+
+
+# -- the formal layer against a reference that keeps only Fractions ----------
+
+KEYS = "abcdef"
+SCALARS = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2), Fraction(2, 3)]
+
+
+def reference(pairs):
+    """A vector stored the way the formal layer stored every vector before
+    integral coefficients were kept as int: a Fraction for every term."""
+    data = {}
+    for key, c in pairs:
+        data[key] = data.get(key, Fraction(0)) + Fraction(c)
+    return FormalSum._wrap({k: c for k, c in data.items() if c})
+
+
+def random_pairs(rng):
+    return [(rng.choice(KEYS), rng.choice(SCALARS)) for _ in range(rng.randrange(6))]
+
+
+def random_action(rng):
+    table = {k: [(rng.choice(SCALARS), rng.choice(KEYS)) for _ in range(rng.randrange(3))] for k in KEYS}
+    return table.__getitem__
+
+
+def reference_apply(ref, action):
+    return reference((k, c * Fraction(s)) for key, c in ref._terms.items() for s, k in action(key))
+
+
+def assert_matches(out, ref):
+    assert all(type(c) is Fraction for c in ref._terms.values())
+    assert_stored_exactly(out)
+    assert out == ref and ref == out and hash(out) == hash(ref)
+    assert out.to_text(str) == ref.to_text(str)
+    assert out.to_text(str, reverse=True) == ref.to_text(str, reverse=True)
+    assert out.json_terms("key", str) == ref.json_terms("key", str)
+    assert repr(out) == repr(ref)
+    assert dict(out.items()) == dict(ref.items()) and out.sorted_items() == ref.sorted_items()
+    for key in KEYS:
+        c = out.coefficient(key)
+        assert type(c) is Fraction and c == ref.coefficient(key)
+
+
+def test_every_construction_path_matches_the_fraction_reference():
+    rng = random.Random(2017)
+    for _ in range(400):
+        pairs, other = random_pairs(rng), random_pairs(rng)
+        u, ref_u = FormalSum(pairs), reference(pairs)
+        w, ref_w = FormalSum(other), reference(other)
+        assert_matches(u, ref_u)
+        action = random_action(rng)
+        assert_matches(u.apply(action), reference_apply(ref_u, action))
+        assert_matches(u._apply(action), reference_apply(ref_u, action))
+        assert_matches(u + w, reference(list(ref_u._terms.items()) + list(ref_w._terms.items())))
+        assert_matches(u - w, reference(
+            list(ref_u._terms.items()) + [(k, -c) for k, c in ref_w._terms.items()]
+        ))
+        assert_matches(-u, reference((k, -c) for k, c in ref_u._terms.items()))
+        s = rng.choice(SCALARS)
+        assert_matches(s * u, reference((k, Fraction(s) * c) for k, c in ref_u._terms.items()))
+        picks = [(rng.choice(SCALARS), rng.choice(((u, ref_u), (w, ref_w)))) for _ in range(3)]
+        assert_matches(
+            FormalSum.linear_combination((s, v) for s, (v, _) in picks),
+            reference((k, Fraction(s) * c) for s, (_, ref) in picks for k, c in ref._terms.items()),
+        )

@@ -17,6 +17,7 @@ from bosonfermion.partitions import (
     energy,
     from_sequence,
     ind_set,
+    interlacing,
     lambda_t,
     normalize,
     part,
@@ -466,6 +467,53 @@ def test_strip_removal_is_adjoint_to_addition():
             expect = {q for q in partitions_up_to(sum(p)) if p in set(add_vertical_strips(q, m))}
             assert removed == expect, (p, m)
 
+
+
+def reference_interlacing(p, above=False, total=None):
+    # the recursive form interlacing had before its walk became iterative
+    if above:
+        lows, highs = p + (0,), (total,) + p
+    else:
+        lows, highs = (p + (0,))[1:], p
+    rows = len(lows)
+    if total is not None and not sum(lows) <= total <= sum(highs):
+        return []
+    lo_tail = [sum(lows[i + 1:]) for i in range(rows)]
+    hi_tail = [sum(highs[i + 1:]) for i in range(rows)]
+    out = []
+
+    def rec(i, left, prefix):
+        if i == rows:
+            out.append(prefix)
+            return
+        lo, hi = lows[i], highs[i]
+        if total is not None:
+            lo, hi = max(lo, left - hi_tail[i]), min(hi, left - lo_tail[i])
+        for val in range(lo, hi + 1):
+            rec(i + 1, left - val, prefix + (val,) if val else prefix)
+
+    rec(0, total or 0, ())
+    return out
+
+
+def test_interlacing_matches_the_recursive_form_in_order():
+    for p in partitions_up_to(10):
+        n = sum(p)
+        assert interlacing(p) == reference_interlacing(p), p
+        for m in range(5):
+            for above, total in ((True, n + m), (False, n - m)):
+                out = interlacing(p, above, total)
+                assert out == reference_interlacing(p, above, total), (p, above, total)
+                assert all(type(q) is tuple and as_partition(q) == q for q in out)
+
+
+def test_long_rows_and_columns_need_no_recursion():
+    long_row, long_column = (2000,), (1,) * 2000
+    assert add_vertical_strips(long_row, 1) == [(2001,), (2000, 1)]
+    assert remove_vertical_strips(long_row, 1) == [(1999,)]
+    assert add_horizontal_strips(long_column, 1) == [(1,) * 2001, (2,) + (1,) * 1999]
+    assert remove_horizontal_strips(long_column, 1) == [(1,) * 1999]
+    assert len(interlacing(long_column)) == 2
 
 # -- charged sequences against an explicit-prefix model ---------------------
 
