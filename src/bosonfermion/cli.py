@@ -39,9 +39,10 @@ MAX_FOCK_CHARGE = 1000
 # the dual of (26,19,15,10,7,4,2,1): 37798 images, --json, 2-vCPU x86 host).
 MAX_STRIP_SIZE = 100
 # Largest k of ``det`` and largest first row of ``complex``: C is k x k, its
-# Bareiss determinant takes about k^3 Fraction operations on growing entries
-# (k = 60 takes about 1 s on a 2-vCPU x86 host), and ``complex`` builds and
-# prints C with k = lam_1 (lam_1 = 400 printed 20 MB).
+# determinant takes about k^3 / 3 integer operations on entries that grow to
+# k x k minors of the row-scaled C (``det --lam "(60,30,10)" --k 60 --json``
+# takes 0.26 to 0.35 s and 19 MB, import included, on a 2-vCPU x86 host), and
+# ``complex`` builds and prints C with k = lam_1 (lam_1 = 400 printed 20 MB).
 MAX_DET_K = 60
 # Largest |mu| of ``coeff``: the oracle acts on the tableaux of lam1, two
 # sizes below mu, and its time and memory grow with their number (the path
@@ -58,15 +59,15 @@ MAX_RESOLVE_N = 500
 # and staircases of 14, 15 and 16 rows took 0.4, 0.7 and 1.2 s (--n 500, --json).
 # The worst input at the cap has long labels, since --n <= 500 and not this cap
 # bounds a label's length: 127 rows of 2 over 127 rows of 1 (16384 labels of
-# 254 rows, --n 500, --json) took 1.2 to 1.6 s and 87 MB and printed 9.4 MB
+# 254 rows, --n 500, --json) took 0.75 to 1.08 s and 87 MB and printed 9.4 MB
 # (2-vCPU x86 host).
 MAX_SIMPLE_LABELS = 16384
 # Largest first row of ``resolve --kind simple``: its vertical strips are
 # enumerated on the dual of --lam, which has lam_1 rows, and every label is
 # walked and transposed across them, so at a fixed label count the time grows
 # with lam_1.  127 rows of L over 127 rows of 1 (16384 labels, --n 500, --json)
-# took 1.2 to 1.6 s at L = 2, 1.6 to 1.8 s and 93 MB at the cap L = 20, and
-# 2.0, 3.1 and 4.3 s at L = 40, 100 and 200 (2-vCPU x86 host).
+# took 0.75 to 1.08 s at L = 2, 0.91 to 1.26 s and 93 MB at the cap L = 20,
+# and 1.4, 2.5 and 3.9 s at L = 40, 100 and 200 (2-vCPU x86 host).
 MAX_SIMPLE_FIRST_ROW = 20
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 
 from .formal import FormalSum
 from .partitions import (
@@ -280,7 +281,10 @@ def resolution_simple(lam, n: int) -> Resolution:
     k = len(lam)
     strips = [
         sorted(
-            (tuple(i for i, row in enumerate(lam, 1) if part(label, i) < row), label)
+            (
+                tuple(i for i, (row, b) in enumerate(zip_longest(lam, label, fillvalue=0), 1) if b < row),
+                label,
+            )
             for label in remove_vertical_strips(lam, s)
         )
         for s in range(k + 1)

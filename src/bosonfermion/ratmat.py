@@ -1,22 +1,23 @@
 """Exact-rational linear algebra over ``Fraction``.
 
-Small and dependency free.  Every exact solve and rank (``RationalMatrix.solve``
-and ``rank``) runs through one Gauss-Jordan routine over sparse rows,
-``_echelon``, whose cost follows the supports of the rows and not the size of
-the ambient space.  ``RationalMatrix.det`` alone keeps its own elimination,
-fraction-free (Bareiss), the independent reference for the rank.
+Small and dependency free.  ``RationalMatrix.solve`` and ``det`` share one
+fraction-free elimination, ``_bareiss``: each row is scaled to integers by the
+lcm of its denominators and eliminated by Bareiss Gauss-Jordan on Python
+``int``s, every division exact, so a ``Fraction`` is made only for each
+result.  ``rank`` runs Gauss-Jordan over sparse rows, ``_echelon``, whose cost
+follows the supports of the rows and not the size of the ambient space.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class SingularMatrixError(ValueError):
     pass
 
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -75,30 +76,14 @@ class RationalMatrix:
         return RationalMatrix([[c * x for x in row] for row in self.data])
 
     def det(self) -> Fraction:
-        """Determinant by Bareiss fraction-free elimination (divisions exact)."""
+        """Determinant: the signed final pivot of ``_bareiss`` over the product of the row scales."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        m = [row[:] for row in self.data]
-        sign = 1
-        prev = Fraction(1)
-        for k in range(n - 1):
-            if not m[k][k]:
-                for r in range(k + 1, n):
-                    if m[r][k]:
-                        m[k], m[r] = m[r], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-                m[i][k] = Fraction(0)
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        eliminated = _bareiss(self.data, self.rows)
+        if eliminated is None:
+            return Fraction(0)
+        sign, scale, pivot, _ = eliminated
+        return Fraction(sign * pivot, scale)
 
     def solve(self, rhs):
         """Solve the square system ``self @ x = rhs`` exactly.
@@ -106,9 +91,10 @@ class RationalMatrix:
         ``rhs`` is one right-hand side as a sequence, giving the solution as
         a list, or several as the columns of a ``RationalMatrix``, giving the
         matrix of solutions column by column.  Either way the rows of the
-        matrix augmented by every right-hand side go through ``_echelon``
-        once, so the matrix is eliminated once however many systems share it.
-        A singular matrix raises ``SingularMatrixError``.
+        matrix augmented by every right-hand side go through ``_bareiss``
+        once, so the matrix is eliminated once however many systems share it,
+        and each solution component is its eliminated entry over the final
+        pivot.  A singular matrix raises ``SingularMatrixError``.
         """
         if self.rows != self.cols:
             raise ValueError("solve requires a square matrix")
@@ -117,10 +103,11 @@ class RationalMatrix:
         b = rhs.data if several else [[_as_fraction(x)] for x in rhs]
         if len(b) != n:
             raise ValueError("rhs length mismatch")
-        pivots = _echelon((dict(enumerate(row + b_row)) for row, b_row in zip(self.data, b)), n)
-        if len(pivots) < n:
+        eliminated = _bareiss([row + b_row for row, b_row in zip(self.data, b)], n)
+        if eliminated is None:
             raise SingularMatrixError("singular system")
-        solutions = [[pivots[i].get(j, _ZERO) for j in range(n, n + len(b[0]))] for i in range(n)]
+        _, _, pivot, rows = eliminated
+        solutions = [[Fraction(x, pivot) for x in row[n:]] for row in rows]
         return RationalMatrix(solutions) if several else [row[0] for row in solutions]
 
     def to_strings(self) -> list[list[str]]:
@@ -128,6 +115,45 @@ class RationalMatrix:
 
     def __repr__(self):
         return f"RationalMatrix({self.to_strings()})"
+
+
+def _bareiss(rows, n: int):
+    """Fraction-free Gauss-Jordan elimination of rational rows on ``int``s.
+
+    Each row is multiplied by the lcm of its denominators; ``scale`` is the
+    product of these factors.  The first ``n`` columns (the unknowns) are
+    eliminated by one-step Bareiss Gauss-Jordan, swapping a row from below
+    in when a pivot is zero, and every division is exact because each entry
+    is then a minor of the scaled matrix.  Returns ``None`` if those columns
+    are singular, else ``(sign, scale, pivot, rows)``: ``sign`` of the row
+    swaps, the final pivot (the determinant of the scaled, swapped ``n x n``
+    block), and the eliminated rows, whose entries after the first ``n`` are
+    ``pivot`` times the solution.  Only the entries that a later step or the
+    solution reads are updated; the first ``n`` columns are left stale.
+    """
+    scale = 1
+    m = []
+    for row in rows:
+        row_scale = lcm(*(x.denominator for x in row))
+        scale *= row_scale
+        m.append([x.numerator * (row_scale // x.denominator) for x in row])
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return None
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot, tail = pivot_row[k], pivot_row[k + 1:]
+        # rows above the pivot are read again only for their right-hand sides
+        for row in m if len(pivot_row) > n else m[k + 1:]:
+            if row is not pivot_row:
+                f = row[k]
+                row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    return sign, scale, prev, m
 
 
 def _subtract(row: dict, factor: Fraction, other: dict) -> None:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonfermion.correspondence import matrix_c
+from bosonfermion.correspondence import det_a_closed, matrix_c
 from bosonfermion.partitions import dual, partitions_up_to
-from bosonfermion.ratmat import RationalMatrix, SingularMatrixError, rank
+from bosonfermion.ratmat import RationalMatrix, SingularMatrixError, _echelon, rank
 
 
 def test_matrix_keeps_fraction_entries_and_coerces_others():
@@ -67,3 +67,131 @@ small_integer_matrices = st.integers(1, 4).flatmap(
 def test_rank_matches_the_largest_nonzero_minor(m):
     rows = [{j: x for j, x in enumerate(row) if x} for row in m]
     assert rank(rows) == largest_nonzero_minor(m)
+
+
+# Rational entries, zero half the time, so leading pivots vanish and force row swaps.
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.sampled_from(sorted({Fraction(p, q) for p in range(-4, 5) for q in range(1, 7)})),
+)
+
+
+def square_systems(max_n=5, max_rhs=3):
+    """An n x n matrix and r right-hand sides as an n x r matrix, n >= 0, r >= 1."""
+    return st.tuples(st.integers(0, max_n), st.integers(1, max_rhs)).flatmap(
+        lambda nr: st.tuples(
+            st.lists(st.lists(rationals, min_size=nr[0], max_size=nr[0]), min_size=nr[0], max_size=nr[0]),
+            st.lists(st.lists(rationals, min_size=nr[1], max_size=nr[1]), min_size=nr[0], max_size=nr[0]),
+        )
+    )
+
+
+def echelon_solve(a, b):
+    """Model of ``solve``: Gauss-Jordan over sparse ``Fraction`` rows, or None if singular."""
+    n = len(a)
+    pivots = _echelon((dict(enumerate(row + b_row)) for row, b_row in zip(a, b)), n)
+    if len(pivots) < n:
+        return None
+    return [[pivots[i].get(j, 0) for j in range(n, n + len(b[0]))] for i in range(n)]
+
+
+def cofactor_det(m):
+    """Model of ``det``: Laplace expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_systems())
+def test_solve_matches_an_echelon_solve(system):
+    a, b = system
+    expected = echelon_solve(a, b)
+    if expected is None:
+        with pytest.raises(SingularMatrixError):
+            RationalMatrix(a).solve(RationalMatrix(b))
+        return
+    x = RationalMatrix(a).solve(RationalMatrix(b))
+    assert x.data == expected
+    assert all(type(v) is Fraction for row in x.data for v in row)
+    assert RationalMatrix(a) @ x == RationalMatrix(b)
+    assert RationalMatrix(a).solve([row[0] for row in b]) == x.column(0)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[0, 1], [1, 0]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[0, 2, 1], [3, 0, 0], [0, 0, Fraction(1, 2)]],
+        [[1, 1, 0], [1, 1, 1], [0, 1, 1]],
+    ],
+)
+def test_solve_and_det_swap_past_zero_pivots(a):
+    m = RationalMatrix(a)
+    b = RationalMatrix([[i + 1, Fraction(1, i + 2)] for i in range(m.rows)])
+    x = m.solve(b)
+    assert x.data == echelon_solve(m.data, b.data)
+    assert m @ x == b
+    assert m.det() == cofactor_det(m.data) != 0
+
+
+def test_empty_system():
+    empty = RationalMatrix([])
+    assert empty.solve([]) == []
+    assert empty.solve(RationalMatrix([])) == RationalMatrix([])
+    assert empty.det() == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n - 1, max_size=n - 1),
+            st.lists(rationals, min_size=n - 1, max_size=n - 1),
+            st.integers(0, n - 1),
+        )
+    )
+)
+def test_singular_systems_raise(parts):
+    rows, weights, at = parts
+    n = len(rows) + 1
+    dependent = [sum((w * row[j] for w, row in zip(weights, rows)), Fraction(0)) for j in range(n)]
+    m = RationalMatrix(rows[:at] + [dependent] + rows[at:])
+    with pytest.raises(SingularMatrixError):
+        m.solve([1] * n)
+    with pytest.raises(SingularMatrixError):
+        m.solve(RationalMatrix([[1, 0]] * n))
+    assert m.det() == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.permutations(range(n)),
+    )
+))
+def test_det_matches_the_cofactor_expansion_and_its_sign_under_swaps(case):
+    m, order = case
+    d = RationalMatrix(m).det()
+    assert d == cofactor_det(m)
+    assert type(d) is Fraction
+    sign = 1
+    for i in range(len(order)):
+        for j in range(i + 1, len(order)):
+            if order[i] > order[j]:
+                sign = -sign
+    assert RationalMatrix([m[i] for i in order]).det() == sign * d
+
+
+@pytest.mark.parametrize("k", [10, 20, 30, 40])
+def test_det_of_c_matches_the_closed_form_at_large_k(k):
+    # the entries 1/(i - w_j)! reach 1/(2k)!, so each row scale is a large factorial
+    for lam in [(k,), (k, k // 2, 1), tuple(range(k, 0, -max(k // 5, 1))), (k // 2,) * 3]:
+        for copies in (lam[0], k):
+            assert matrix_c(lam, copies).det() == det_a_closed(lam, copies), (lam, copies)
