@@ -44,10 +44,13 @@ MAX_STRIP_SIZE = 100
 # takes 0.26 to 0.35 s and 19 MB, import included, on a 2-vCPU x86 host), and
 # ``complex`` builds and prints C with k = lam_1 (lam_1 = 400 printed 20 MB).
 MAX_DET_K = 60
-# Largest |mu| of ``coeff``: the oracle acts on the tableaux of lam1, two
-# sizes below mu, and its time and memory grow with their number (the path
-# (5,4,2,1) -> (5,4,3,1) -> (5,4,3,2), |mu| = 14, takes 0.08 to 0.10 s and
-# 19 MB, import included, on a 2-vCPU x86 host).
+# Largest |mu| of ``coeff``.  The oracle acts on one content vector of lam1,
+# so no route grows with the number of tableaux: the path (5,4,2,1) ->
+# (5,4,3,1) -> (5,4,3,2), |mu| = 14, takes 0.14 to 0.16 s and 17 MB, import
+# included, where acting on every tableau took 0.15 to 0.18 s and 19 MB in
+# the same rounds (2-vCPU x86 host).  The cap stays at 14, the size the
+# ``coeff`` group of ``tools/cli_corpus.py`` pins with its over-cap call
+# (13) -> (14) -> (15).
 MAX_COEFF_SIZE = 14
 # Largest n of ``resolve``: the q resolution has n + 1 labels of n rows each,
 # so its time, memory and output grow at least quadratically in n.  At 500
@@ -59,15 +62,17 @@ MAX_RESOLVE_N = 500
 # and staircases of 14, 15 and 16 rows took 0.4, 0.7 and 1.2 s (--n 500, --json).
 # The worst input at the cap has long labels, since --n <= 500 and not this cap
 # bounds a label's length: 127 rows of 2 over 127 rows of 1 (16384 labels of
-# 254 rows, --n 500, --json) took 0.75 to 1.08 s and 87 MB and printed 9.4 MB
-# (2-vCPU x86 host).
+# 254 rows, --n 500, --json) took 0.97 to 1.03 s and 87 MB and printed 9.4 MB,
+# where walking every row of lam per label took 1.11 to 1.46 s and 87 MB in
+# the same rounds (2-vCPU x86 host).
 MAX_SIMPLE_LABELS = 16384
 # Largest first row of ``resolve --kind simple``: its vertical strips are
 # enumerated on the dual of --lam, which has lam_1 rows, and every label is
-# walked and transposed across them, so at a fixed label count the time grows
-# with lam_1.  127 rows of L over 127 rows of 1 (16384 labels, --n 500, --json)
-# took 0.75 to 1.08 s at L = 2, 0.91 to 1.26 s and 93 MB at the cap L = 20,
-# and 1.4, 2.5 and 3.9 s at L = 40, 100 and 200 (2-vCPU x86 host).
+# transposed across them, so at a fixed label count the time grows with lam_1.
+# 127 rows of L over 127 rows of 1 (16384 labels, --n 500, --json) took 0.97 to
+# 1.03 s at L = 2, 1.19 to 1.37 s and 92 MB at the cap L = 20, and with the
+# cap lifted 1.6 to 1.7, 2.6 and 3.6 to 4.0 s at L = 40, 100 and 200 (2-vCPU
+# x86 host).
 MAX_SIMPLE_FIRST_ROW = 20
 
 

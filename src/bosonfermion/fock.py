@@ -132,13 +132,25 @@ def s_n_op(n: int, v: FockVector) -> FockVector:
 
 
 def _quadratic_trunc(N: int, d: int, v: FockVector) -> FockVector:
-    """Sum of t_{2i} t_{2i+d} over -N <= i <= 0 minus t_{2i+d} t_{2i} over 1 <= i <= N."""
+    """Sum of t_{2i} t_{2i+d} over -N <= i <= 0 minus t_{2i+d} t_{2i} over 1 <= i <= N.
+
+    One pass over v, with no vector per word.
+    """
     if N < 1:
         raise ValueError("N must be positive")
-    return FockVector.linear_combination(
-        [(1, apply_word((2 * i, 2 * i + d), v)) for i in range(-N, 1)]
-        + [(-1, apply_word((2 * i + d, 2 * i), v)) for i in range(1, N + 1)]
-    )
+    # (sign, outer, inner): the inner generator acts first, on each key of v
+    words = [(1, 2 * i, 2 * i + d) for i in range(-N, 1)]
+    words += [(-1, 2 * i + d, 2 * i) for i in range(1, N + 1)]
+
+    def images(key):
+        return [
+            (sign * c1 * c2, image)
+            for sign, outer, inner in words
+            for c1, middle in _t_key(inner, key)
+            for c2, image in _t_key(outer, middle)
+        ]
+
+    return v._apply(images)
 
 
 def g_q_trunc(N: int, v: FockVector) -> FockVector:

@@ -11,16 +11,17 @@ and total size at once.
 The module also builds the finite projective resolutions used by the
 Serre-twist computations and checks them by graded Euler characteristics and
 by exactness of their sparse boundaries, with ranks from ``ratmat.rank``.
-The labels of the simple resolution are the removable vertical strips of
-:func:`bosonfermion.partitions.remove_vertical_strips`, and a limit
-projective counts the eta its tail interlaces below, by :func:`exists_hom`.
+The labels of the simple resolution are lam minus its removable vertical
+strips, the duals of :func:`bosonfermion.partitions.remove_horizontal_strips`
+on the dual of lam, and a limit projective counts the eta its tail
+interlaces below, by :func:`exists_hom`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import zip_longest
+from itertools import chain
 
 from .formal import FormalSum
 from .partitions import (
@@ -31,7 +32,7 @@ from .partitions import (
     lambda_t,
     part,
     partitions_bounded,
-    remove_vertical_strips,
+    remove_horizontal_strips,
     size,
     union_columns,
 )
@@ -270,25 +271,32 @@ def resolution_simple(lam, n: int) -> Resolution:
     """Inclusion-exclusion resolution of the simple module at lam.
 
     Degree s carries the labels lam minus a vertical s-strip, one box off
-    each of s distinct rows, from :func:`remove_vertical_strips`, in the
-    order of their row sets; their number sets the cost.  Signed boundary
-    maps are attached when the shape has at most two nonzero rows: a label
-    maps to the label of its row set minus row j with sign (-1)^(index of j).
+    each of s distinct rows, in the order of their row sets; their number
+    sets the cost.  Each label is the dual of dual(lam) minus a horizontal
+    s-strip (:func:`remove_horizontal_strips`), and column j of lam loses the
+    segment of rows q_j + 1 .. dual(lam)_j, so the row set is read off those
+    segments without a walk over the rows.  Signed boundary maps are attached
+    when the shape has at most two nonzero rows: a label maps to the label of
+    its row set minus row j with sign (-1)^(index of j).
     """
     lam = as_partition(lam)
     if len(lam) > n:
         raise ValueError(f"{lam} has more than {n} rows")
     k = len(lam)
-    strips = [
-        sorted(
-            (
-                tuple(i for i, (row, b) in enumerate(zip_longest(lam, label, fillvalue=0), 1) if b < row),
-                label,
-            )
-            for label in remove_vertical_strips(lam, s)
-        )
-        for s in range(k + 1)
-    ]
+    cols = dual(lam)
+
+    def removed_rows(q):
+        # a horizontal strip has q_j >= cols_{j+1}: column j + 1 loses rows above column j's
+        segments = [range(b + 1, a + 1) for a, b in zip(cols, q + (0,))]
+        return tuple(chain.from_iterable(reversed(segments)))
+
+    strips = []
+    for s in range(k + 1):
+        qs = remove_horizontal_strips(cols, s)
+        # every label before any row set: built interleaved, the two left the
+        # heap fragmented and printing the result took about 5 MB more
+        labels = [dual(q) for q in qs]
+        strips.append(sorted(zip(map(removed_rows, qs), labels)))
     terms = [(s, tuple(label for _, label in degree)) for s, degree in enumerate(strips)]
     boundaries = None
     if k <= 2:

@@ -3,11 +3,10 @@
 Basis vectors are indexed by standard tableaux, simultaneous eigenvectors of
 the Jucys-Murphy elements.  A tableau is its content vector (c_1, ..., c_n),
 the eigenvalues it determines; extending by a box appends that box's content
-and the swap s_i exchanges c_i and c_{i+1}.  ``tableaux`` is the one
-enumerator, and the one cache, of the content vectors of a shape;
-``tableau_rows`` is the only view of a tableau as rows.  Each adjacent
-transposition acts through the content difference d = c_{i+1} - c_i:
-diagonally by 1/d when the swap is not standard (|d| = 1), and otherwise by
+and the swap s_i exchanges c_i and c_{i+1}.  The module enumerates no
+tableaux.  Each adjacent transposition acts through the content difference
+d = c_{i+1} - c_i: diagonally by 1/d when the swap is not standard
+(|d| = 1), and otherwise by
 
     s . v_T  =  (1/d) v_T + ((d-1)/d) v_{T'},      T' = swapped tableau,
 
@@ -19,8 +18,10 @@ and from first principles (the oracle).  ``removal_path`` is the one check
 that lam1 -> lam -> mu adds one box at a time; every coefficient route,
 here and in :mod:`bosonfermion.correspondence`, starts from it, and a
 caller holding a path runs each route's private body on it.  The oracle
-reads only the tableaux of lam1: s_{n-1} acts on the image cv + (c1, c2) of
-each, c1 and c2 the contents of the added boxes, through d = c2 - c1 alone.
+reads one content vector, the row-major one of lam1: s_{n-1} acts on the
+image cv + (c1, c2) of any tableau cv of lam1, c1 and c2 the contents of the
+added boxes, through d = c2 - c1 alone, so every other tableau would repeat
+its equations.
 """
 
 from __future__ import annotations
@@ -37,40 +38,11 @@ from .partitions import (
     as_partition,
     content,
     dual,
-    removable_corners,
-    remove_box,
 )
 
 LAM_BRANCH = "lam"
 NU_BRANCH = "nu"
 _ZERO = Fraction(0)
-
-
-@lru_cache(maxsize=None)
-def tableaux(shape: Partition) -> tuple[tuple[int, ...], ...]:
-    """Content vectors of the standard tableaux of the shape, largest first.
-
-    ``cv[v - 1]`` is the content of the box holding v; the vector determines
-    the tableau (Okounkov-Vershik).
-    """
-    shape = as_partition(shape)
-    if not shape:
-        return ((),)
-    out = [
-        cv + (content(corner),)
-        for corner in removable_corners(shape)
-        for cv in tableaux(remove_box(shape, corner))
-    ]
-    return tuple(sorted(out, reverse=True))
-
-
-def tableau_rows(cv: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Entries row by row: v goes in the addable box of content c_v."""
-    rows: list[list[int]] = [[] for _ in range(1 - min(cv, default=1))]
-    for v, c in enumerate(cv):
-        # the addable box of content c is the next box down diagonal c
-        rows[cv[:v].count(c) + max(-c, 0)].append(v + 1)
-    return tuple(tuple(row) for row in rows)
 
 
 def _swapped(cv: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -137,28 +109,24 @@ def removal_path(lam1, lam, mu, *wanted: str) -> RemovalPath:
 
 @lru_cache(maxsize=None)
 def _oracle_solve(lam1: Partition, c1: int, c2: int) -> tuple[Fraction, ...]:
-    """Decompose s_{n-1} on the image cv + (c1, c2) of every tableau cv of lam1 over the composites.
+    """Decompose s_{n-1} on the image cv + (c1, c2) of one tableau cv of lam1 over the composites.
 
     The composites send cv to one basis vector each, cv + (c1, c2) and, for a
     square, cv + (c2, c1), so x_k is the value of s_{n-1} at cv + side k and an
-    image on no side must be zero.  The first tableau sets the x_k and every
-    tableau is checked against them.  Both branches of a square share the solve.
+    image on no side must be zero.  s_{n-1} reads only c1 and c2, so every
+    tableau of lam1 gives the same equations: cv is the row-major one, built
+    directly.  Both branches of a square share the solve.
     """
+    cv = tuple(c - r for r, row in enumerate(lam1) for c in range(row))
     sides = [(c1, c2)] if abs(c2 - c1) == 1 else [(c1, c2), (c2, c1)]
-    i, coeffs = sum(lam1) + 1, None
-    for cv in tableaux(lam1):
-        targets = [cv + side for side in sides]
-        values, stray = [_ZERO] * len(sides), False
-        for image, value in _act(i, targets[0]):
-            if image in targets:
-                values[targets.index(image)] = value
-            else:
-                stray = stray or bool(value)
-        if coeffs is None:
-            coeffs = values
-        if stray or values != coeffs:
+    targets = [cv + side for side in sides]
+    values = [_ZERO] * len(sides)
+    for image, value in _act(len(cv) + 1, targets[0]):
+        if image in targets:
+            values[targets.index(image)] = value
+        elif value:
             raise RuntimeError("swapped composite is not in the span of the composites")
-    return tuple(coeffs)
+    return tuple(values)
 
 
 def square_coeffs(lam1, lam, nu, mu) -> tuple[Fraction, Fraction]:
@@ -166,7 +134,7 @@ def square_coeffs(lam1, lam, nu, mu) -> tuple[Fraction, Fraction]:
 
     Returns (alpha, beta) with  s . (f through lam)  =  alpha * (f through lam)
     + beta * (f through nu): the oracle's values of s_{n-1} on the two sides,
-    checked on every tableau of lam1, cached by (lam1, c1, c2) and shared
+    read on the row-major tableau of lam1, cached by (lam1, c1, c2) and shared
     with both branches of ``a_oracle``.  It uses no closed form and nothing
     of the collapsed complex.  A composite outside the span is a broken
     invariant and raises RuntimeError.
@@ -193,14 +161,14 @@ def h_coeff(lam1, lam) -> Fraction:
 def _h_coeff(lam1: Partition, lam: Partition) -> Fraction:
     row, col = added_box(lam1, lam)
     s, t = col - 1, row - 1
-    arm = Fraction(1)
+    arm = 1
     for i in range(1, t + 1):
         arm *= lam[i - 1] - col + t + 1 - i
-    leg = Fraction(1)
+    leg = 1
     cols = dual(lam)
     for j in range(1, s + 1):
         leg *= cols[j - 1] - row + s + 2 - j
-    return Fraction(-1 if s % 2 else 1) * arm / leg
+    return Fraction(-arm if s % 2 else arm, leg)
 
 
 def a_coeff(lam1, lam, mu, branch: str) -> Fraction:
@@ -258,11 +226,12 @@ def a_closed_expanded(lam1, lam, mu) -> Fraction:
 def a_oracle(lam1, lam, mu, branch: str) -> Fraction:
     """Structure constant recomputed from first principles.
 
-    Sends every tableau of lam1 to its image cv + (c1, c2) in mu, acts on
-    each image by the adjacent swap s_{n-1} (``_act``), decomposes the
+    Sends the row-major tableau of lam1 to its image cv + (c1, c2) in mu,
+    acts on it by the adjacent swap s_{n-1} (``_act``), decomposes the
     result exactly over the composites, one for a domino and two for a
-    square, checking that every tableau gives the same values and nothing
-    outside them, and rescales by the h ratio.  The one decomposition is
+    square, checking that nothing falls outside them, and rescales by the h
+    ratio.  Every other tableau of lam1 would give the same equations, since
+    s_{n-1} reads only the added contents.  The one decomposition is
     cached by (lam1, c1, c2), so the two branches of a square share it.  The
     closed forms above are never consulted.  ``_a_oracle`` is the body on a
     path already built.

@@ -269,6 +269,42 @@ def test_g_stability():
             assert g_p_trunc(base + bump, v) == want_p, (lam, bump)
 
 
+def reference_quadratic_trunc(N, d, v):
+    """The quadratic sum word by word: one ``apply_word`` per word, then one linear combination."""
+    if N < 1:
+        raise ValueError("N must be positive")
+    return FockVector.linear_combination(
+        [(1, apply_word((2 * i, 2 * i + d), v)) for i in range(-N, 1)]
+        + [(-1, apply_word((2 * i + d, 2 * i), v)) for i in range(1, N + 1)]
+    )
+
+
+def test_quadratic_trunc_matches_the_word_by_word_reference():
+    for lam in partitions_up_to(6):
+        for k in range(-2, 3):
+            single = basis(to_sequence(lam).shift(k))
+            # several terms, charges and Fraction coefficients, so images of
+            # different keys meet and cancel
+            neighbours = sorted(res_set(lam) | ind_set(lam))
+            mixed = FockVector(
+                [(to_sequence(lam).shift(k), Fraction(3, 4))]
+                + [
+                    (to_sequence(p).shift(k + j % 2), Fraction((-1) ** j * (j + 1), j + 2))
+                    for j, p in enumerate(neighbours)
+                ]
+            )
+            for N in range(1, stable_truncation(lam) + 3):
+                for v in (single, mixed):
+                    for d, op in ((-1, g_q_trunc), (1, g_p_trunc)):
+                        assert op(N, v) == reference_quadratic_trunc(N, d, v), (lam, k, N, d, v)
+    for op in (g_q_trunc, g_p_trunc):
+        for N in (0, -1):
+            with pytest.raises(ValueError, match="N must be positive"):
+                op(N, basis(to_sequence((1,))))
+            with pytest.raises(ValueError, match="N must be positive"):
+                op(N, FockVector.zero())
+
+
 def test_vector_json_round_shape():
     v = -1 * basis(to_sequence((2,))) + Fraction(1, 2) * vacuum(0)
     data = v.to_json()

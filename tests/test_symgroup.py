@@ -29,8 +29,6 @@ from bosonfermion.symgroup import (
     h_coeff,
     removal_path,
     square_coeffs,
-    tableau_rows,
-    tableaux,
 )
 
 
@@ -46,9 +44,40 @@ def hook_count(shape):
     return factorial(n) // product
 
 
+# -- standard tableaux ------------------------------------------------------------
+# The library enumerates no tableaux; the dense model and the reference
+# oracle below read them from here.
+
+@lru_cache(maxsize=None)
+def tableaux(shape):
+    """Content vectors of the standard tableaux of the shape, largest first.
+
+    ``cv[v - 1]`` is the content of the box holding v; the vector determines
+    the tableau (Okounkov-Vershik).
+    """
+    shape = as_partition(shape)
+    if not shape:
+        return ((),)
+    out = [
+        cv + (content(corner),)
+        for corner in removable_corners(shape)
+        for cv in tableaux(remove_box(shape, corner))
+    ]
+    return tuple(sorted(out, reverse=True))
+
+
+def tableau_rows(cv):
+    """Entries row by row: v goes in the addable box of content c_v."""
+    rows = [[] for _ in range(1 - min(cv, default=1))]
+    for v, c in enumerate(cv):
+        # the addable box of content c is the next box down diagonal c
+        rows[cv[:v].count(c) + max(-c, 0)].append(v + 1)
+    return tuple(tuple(row) for row in rows)
+
+
 # -- the dense model ------------------------------------------------------------
-# Matrices built from the library's ``_act`` and ``tableaux`` alone: rows and
-# columns follow the tableaux of a shape, largest content vector first.
+# Matrices built from the library's ``_act`` and the ``tableaux`` above alone:
+# rows and columns follow the tableaux of a shape, largest content vector first.
 
 def row_filling(shape):
     """Content vector of the tableau filled 1..n left to right along consecutive rows."""
@@ -400,29 +429,80 @@ def test_oracle_coefficients_solve_the_dense_system():
         assert f1 @ s == alpha * f1 + beta * f2, (lam1, lam, nu, mu)
 
 
+def reference_oracle_solve(lam1, c1, c2):
+    """The oracle's decomposition on every tableau of lam1, the first setting the values.
+
+    Each image cv + (c1, c2) must give the first tableau's values on the sides
+    and zero off them; ``symgroup._oracle_solve`` reads the row-major tableau,
+    which is the first, alone.
+    """
+    sides = [(c1, c2)] if abs(c2 - c1) == 1 else [(c1, c2), (c2, c1)]
+    i, coeffs = sum(lam1) + 1, None
+    for cv in tableaux(lam1):
+        targets = [cv + side for side in sides]
+        values, stray = [Fraction(0)] * len(sides), False
+        for image, value in symgroup._act(i, targets[0]):
+            if image in targets:
+                values[targets.index(image)] = value
+            else:
+                stray = stray or bool(value)
+        if coeffs is None:
+            coeffs = values
+        if stray or values != coeffs:
+            raise RuntimeError("swapped composite is not in the span of the composites")
+    return tuple(coeffs)
+
+
+def added_contents(lam1, lam, mu):
+    path = removal_path(lam1, lam, mu)
+    return content(path.b1), content(path.b2)
+
+
+def test_one_tableau_oracle_matches_the_every_tableau_reference():
+    symgroup._oracle_solve.cache_clear()
+    checked = 0
+    for lam1, lam, mu in paths(8):
+        c1, c2 = added_contents(lam1, lam, mu)
+        want = reference_oracle_solve(lam1, c1, c2)
+        assert symgroup._oracle_solve(lam1, c1, c2) == want, (lam1, lam, mu)
+        checked += 1
+    assert checked == 218
+    # the row-major filling is the largest content vector, the reference's first
+    for shape in partitions_up_to(8):
+        assert tableaux(shape)[0] == row_filling(shape), shape
+
+
 def test_oracle_reads_no_tableaux_above_lam1(monkeypatch):
     # the images of the tableaux of lam1 carry the whole system, so the
-    # oracle needs no tableau of lam or mu
+    # reference needs no tableau of lam or mu, and the library oracle reads
+    # no tableau at all: it builds the row-major content vector of lam1
     seen = []
-    contents = symgroup.tableaux
+    contents = tableaux
 
     def recorded(shape):
         seen.append(shape)
         return contents(shape)
 
-    monkeypatch.setattr(symgroup, "tableaux", recorded)
+    monkeypatch.setitem(globals(), "tableaux", recorded)
     symgroup._oracle_solve.cache_clear()
     lam1, lam, mu = (4, 3, 2, 1), (4, 3, 3, 1), (4, 3, 3, 2)
     for branch in (LAM_BRANCH, NU_BRANCH):
         assert a_oracle(lam1, lam, mu, branch) == a_coeff(lam1, lam, mu, branch)
+    assert seen == []
+    assert not hasattr(symgroup, "tableaux")
+    want = square_coeffs(lam1, lam, (4, 3, 2, 2), mu)
+    assert reference_oracle_solve(lam1, *added_contents(lam1, lam, mu)) == want
     assert (4, 3, 2, 1) in seen
     assert max(sum(shape) for shape in seen) <= sum(mu) - 2
 
 
 def test_oracle_checks_the_last_tableau(monkeypatch):
     # the first tableau of lam1 already fixes both coefficients of the
-    # square, so only a check of every later equation sees the last one off
+    # square, so only the reference's check of every later equation sees the
+    # last one off; the library oracle reads the first alone, so a wrong
+    # value there must show as an image off the sides
     lam1, lam, mu = (2, 1), (3, 1), (3, 2)
+    c1, c2 = added_contents(lam1, lam, mu)
     last = tableaux(lam1)[-1]
     act = symgroup._act
 
@@ -434,13 +514,28 @@ def test_oracle_checks_the_last_tableau(monkeypatch):
         return (image, diagonal), (swapped, off_diagonal + 1)
 
     monkeypatch.setattr(symgroup, "_act", off_by_one_on_the_last)
-    symgroup._oracle_solve.cache_clear()
     with pytest.raises(RuntimeError):
+        reference_oracle_solve(lam1, c1, c2)
+
+    def swaps_the_wrong_pair_on_the_row_major(i, cv):
+        images = act(i, cv)
+        if cv[:-2] != row_filling(lam1):
+            return images
+        (image, diagonal), (_, off_diagonal) = images
+        return (image, diagonal), (symgroup._swapped(cv, i - 1), off_diagonal)
+
+    monkeypatch.setattr(symgroup, "_act", swaps_the_wrong_pair_on_the_row_major)
+    symgroup._oracle_solve.cache_clear()
+    with pytest.raises(RuntimeError, match="swapped composite"):
         a_oracle(lam1, lam, mu, LAM_BRANCH)
+    with pytest.raises(RuntimeError, match="swapped composite"):
+        reference_oracle_solve(lam1, c1, c2)
 
 
 def test_oracle_acts_on_every_tableau_of_lam1(monkeypatch):
-    # no tableau is skipped, though the first already fixes the coefficients
+    # the reference skips no tableau, though the first already fixes the
+    # coefficients; the library oracle acts on that first one, the row-major
+    # filling, and on nothing else
     lam1, lam, mu = (3, 2, 1), (4, 2, 1), (4, 2, 2)
     seen = []
     act = symgroup._act
@@ -452,15 +547,22 @@ def test_oracle_acts_on_every_tableau_of_lam1(monkeypatch):
     monkeypatch.setattr(symgroup, "_act", recorded)
     symgroup._oracle_solve.cache_clear()
     assert a_oracle(lam1, lam, mu, LAM_BRANCH) == a_coeff(lam1, lam, mu, LAM_BRANCH)
+    assert seen == [row_filling(lam1)]
+    seen.clear()
+    c1, c2 = added_contents(lam1, lam, mu)
+    assert reference_oracle_solve(lam1, c1, c2) == symgroup._oracle_solve(lam1, c1, c2)
     assert set(seen) == set(tableaux(lam1))
+    assert len(seen) == len(tableaux(lam1)) == hook_count(lam1)
 
 
 def test_bfhcl_sweep_reads_the_tableau_cache():
-    # the oracle's enumerator is the cache the benchmark trace reports
+    # the oracle's one cache is its solve, shared by the two branches of a
+    # square; there is no tableau cache left for the benchmark trace to read
     symgroup._oracle_solve.cache_clear()
-    symgroup.tableaux.cache_clear()
-    run_suite("bfhcl", 5)
-    assert symgroup.tableaux.cache_info().hits > 0
+    assert run_suite("bfhcl", 5).passed
+    info = symgroup._oracle_solve.cache_info()
+    assert info.hits > 0 and info.misses > 0
+    assert not hasattr(symgroup, "tableaux")
 
 
 def test_expanded_form_on_its_configuration():
