@@ -13,14 +13,13 @@ Serre-twist computations and checks them by graded Euler characteristics and
 by exactness of their sparse boundaries, with ranks from ``ratmat.rank``.
 The labels of the simple resolution are lam minus its removable vertical
 strips, the duals of :func:`bosonfermion.partitions.remove_horizontal_strips`
-on the dual of lam, and a limit projective counts the eta its tail
-interlaces below, by :func:`exists_hom`.
+on the dual of lam.  The Euler check adds each projective's sign at the
+labels ``interlacing`` lists for it, a limit projective's from above its tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 from .formal import FormalSum
@@ -162,19 +161,12 @@ class LimitLabel:
 
     Its multiplicity at eta is 1 when the tail interlaces below eta,
     eta_1 >= t_1 >= eta_2 >= ... >= t_{n-1} >= eta_n, and 0 otherwise;
-    eta then has at most n rows.
+    eta then has at most n rows, and those of size s are
+    ``interlacing(tail, above=True, total=s)``.
     """
 
     tail: tuple[int, ...]  # n-1 weakly decreasing values, zeros kept
     n: int
-
-    @cached_property
-    def _tail_partition(self) -> Partition:
-        """The tail normalised once per label; ``tail`` keeps its zeros."""
-        return as_partition(self.tail)
-
-    def multiplicity(self, eta) -> int:
-        return int(exists_hom(self._tail_partition, as_partition(eta)))
 
     def __repr__(self):
         return f"(oo,{','.join(str(x) for x in self.tail)})"
@@ -322,21 +314,23 @@ def graded_euler_check(res: Resolution, target, tr: Truncation) -> bool:
 
     For every label admitted by the (finite) truncation, the signed number of
     basis vectors of that label across the complex must equal the target.
+    Each projective adds its sign at the labels ``interlacing`` lists for it,
+    a limit label's above its tail, one size at a time up to ``tr.m``.
     """
     if not tr.is_finite:
         raise ValueError("graded Euler check needs a finite truncation")
-    for eta in tr.iter_labels():
-        total = 0
-        for degree, labels in res.terms:
-            sign = -1 if degree % 2 else 1
-            for label in labels:
-                if isinstance(label, LimitLabel):
-                    total += sign * label.multiplicity(eta)
-                elif exists_hom(eta, label):
-                    total += sign
-        if total != target(eta):
-            return False
-    return True
+    totals: dict = {}
+    for degree, labels in res.terms:
+        sign = -1 if degree % 2 else 1
+        for label in labels:
+            if isinstance(label, LimitLabel):
+                tail = as_partition(label.tail)
+                etas = chain.from_iterable(interlacing(tail, above=True, total=s) for s in range(tr.m + 1))
+            else:
+                etas = interlacing(label)
+            for eta in etas:
+                totals[eta] = totals.get(eta, 0) + sign
+    return all(totals.get(eta, 0) == target(eta) for eta in tr.iter_labels())
 
 
 def _basis(res: Resolution, degree: int, tr: Truncation) -> list:

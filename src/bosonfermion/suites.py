@@ -29,6 +29,7 @@ from .partitions import (
     union_columns,
 )
 from .fock import FockVector
+from .formal import _accumulate
 from .ratmat import RationalMatrix
 from .schur import SchurVector, schur_basis
 
@@ -65,29 +66,38 @@ def energy_basis(max_energy: int, charge: int):
         yield to_sequence(p).shift(charge)
 
 
+def _add_word(data: dict, t_key, i: int, images) -> dict:
+    """Add t_i of the (sign, sequence) pairs ``images`` into ``data``, key by key."""
+    for c1, middle in images:
+        for c2, image in t_key(i, middle):
+            _accumulate(data, image, c1 * c2)
+    return data
+
+
 def suite_clifford(max_size: int) -> SuiteResult:
     """Generator relations, exactly, on low-energy vectors of small charge.
 
-    Each generator acts once on each basis vector; the word t_i t_j is then
-    t_i applied to that first image, so every relation is still computed
-    from ``apply_t`` on a ``FockVector``.  The text of each basis vector is
-    formatted once and shared by all of its case keys.
+    Each generator acts once on each basis sequence s, and the word t_i t_j s
+    is t_i of that first image, added into a plain dict: both come from
+    ``fock._t_key``, read when the suite runs, through ``formal._accumulate``,
+    the key action and accumulation ``apply_t`` uses.  Each basis vector's
+    text is formatted once.
     """
     result = SuiteResult("clifford", max_size)
+    t_key = fock._t_key
     indices = range(-6, 7)
     for k in range(-2, 3):
         for s in energy_basis(max_size, k):
-            v = FockVector.basis(s)
             text = str(s)
-            first = {j: fock.apply_t(j, v) for j in indices}
+            first = {j: t_key(j, s) for j in indices}
             for i in indices:
-                result.check(f"square i={i} {text}", fock.apply_t(i, first[i]).is_zero())
+                result.check(f"square i={i} {text}", not _add_word({}, t_key, i, first[i]))
                 for j in range(i + 1, indices.stop):
-                    total = fock.apply_t(i, first[j]) + fock.apply_t(j, first[i])
+                    total = _add_word(_add_word({}, t_key, i, first[j]), t_key, j, first[i])
                     if j == i + 1:
-                        result.check(f"adjacent i={i} j={j} {text}", total == v)
+                        result.check(f"adjacent i={i} j={j} {text}", total == {s: 1})
                     else:
-                        result.check(f"anticommute i={i} j={j} {text}", total.is_zero())
+                        result.check(f"anticommute i={i} j={j} {text}", not total)
     return result
 
 
@@ -309,20 +319,20 @@ def suite_identities(max_size: int) -> SuiteResult:
     return result
 
 
-# name -> (suite, default size, largest size ``verify`` accepts).  Stepping up
-# one size at a time from the default on a 2-vCPU x86 host, each other cap is
-# the largest size whose runs all took under 30 s and 100 MB; the cap and the
-# size above it are each run at least twice, since one run is within the
-# host's noise.  ``bfhcl`` at 25 took 14.0, 15.6 and 16.9 s and 84 MB, and at
-# 26 took 20.4 to 21.4 s and 104 MB in three runs, interleaved with 24 and 25,
-# so memory sets its cap; ``heisenberg`` at 41 took 28.4 and 22.7 s and 22 MB,
-# and at 42 took 30.2 and 24.5 s; ``serre`` at 113 took 21.4 and 27.2 s and 17 MB,
-# and at 114 took 26.2 and 32.2 s; ``identities`` at 54 took 27.2 and 28.4 s
-# and 17 MB, and at 55 took 29.7 and 33.8 s; ``clifford`` at 25 took 29.0 and
-# 27.5 s and 20 MB, and at 26 took 35.5 and 32.4 s; ``resolutions`` does the
-# same work at every size from 6 up, so its cap is 6.
+# name -> (suite, default size, largest size ``verify`` accepts).  On a 2-vCPU
+# x86 host each cap is the largest size whose runs all took under 30 s and
+# 100 MB, with the cap and the size above it each run at least twice, since
+# one run is within the host's noise.  ``bfhcl`` at 25 took 14.0, 15.6 and
+# 16.9 s and 84 MB, and at 26 took 20.4 to 21.4 s and 104 MB in three runs,
+# interleaved with 24 and 25, so memory sets its cap; ``heisenberg`` at 41 took
+# 28.4 and 22.7 s and 22 MB, and at 42 took 30.2 and 24.5 s; ``serre`` at 113
+# took 21.4 and 27.2 s and 17 MB, and at 114 took 26.2 and 32.2 s;
+# ``identities`` at 54 took 27.2 and 28.4 s and 17 MB, and at 55 took 29.7 and
+# 33.8 s; two runs of ``tools/ladder.py --cap-from 25`` both put ``clifford`` at
+# 26 (12 runs, 18.3 to 25.4 s and 21 MB), as 27 took 31.6 s in one and 32.8 and
+# 35.2 s in the other; ``resolutions`` does the same work from 6 up, so its cap is 6.
 SUITES = {
-    "clifford": (suite_clifford, 6, 25),
+    "clifford": (suite_clifford, 6, 26),
     "heisenberg": (suite_heisenberg, 10, 41),
     "bfhcl": (suite_bfhcl, 8, 25),
     "serre": (suite_serre, 10, 113),

@@ -28,7 +28,7 @@ from bosonfermion.partitions import (
     to_sequence,
     union_columns,
 )
-from bosonfermion.suites import energy_basis, run_suite
+from bosonfermion.suites import _add_word, energy_basis, run_suite
 
 
 def basis(seq):
@@ -149,6 +149,23 @@ def test_clifford_suite_catches_a_wrong_generator(monkeypatch):
     assert not result.passed
     for key in result.failures:
         assert f"i={bad}" in key.split() or f"j={bad}" in key.split(), key
+
+
+def test_clifford_suite_words_are_the_public_operator():
+    # the suite's key-level words, dicts of stored coefficients, against
+    # apply_word on a FockVector: each word t_i t_j and each anticommutator
+    t_key, indices = fock._t_key, range(-6, 7)
+    for k in range(-2, 3):
+        for s in energy_basis(4, k):
+            v = basis(s)
+            first = {j: t_key(j, s) for j in indices}
+            for i in indices:
+                for j in indices:
+                    word = _add_word({}, t_key, i, first[j])
+                    assert word == apply_word((i, j), v)._terms, (i, j, s)
+                    total = _add_word(dict(word), t_key, j, first[i])
+                    want = apply_word((i, j), v) + apply_word((j, i), v)
+                    assert total == want._terms, (i, j, s)
 
 
 def _clifford_failures(monkeypatch, wrong_t2):

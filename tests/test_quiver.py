@@ -3,7 +3,9 @@ from itertools import combinations, product
 import pytest
 
 from bosonfermion.partitions import (
+    as_partition,
     dual,
+    interlacing,
     partitions_bounded,
     partitions_up_to,
     union_columns,
@@ -12,9 +14,11 @@ from bosonfermion.quiver import (
     ArrowElement,
     FElement,
     LimitLabel,
+    Resolution,
     Truncation,
     arrow,
     cokernel_dim,
+    df_tensor_dims,
     exists_hom,
     graded_euler_check,
     multiply,
@@ -26,6 +30,7 @@ from bosonfermion.quiver import (
     resolution_q,
     resolution_simple,
     serre_bar_k0,
+    simple_dims,
 )
 
 
@@ -277,13 +282,18 @@ def test_column_truncation_twisted_basis():
             assert got == want, (lam, n)
 
 
+def multiplicity(limit: LimitLabel, eta) -> int:
+    """Reference multiplicity of a limit label at eta: 1 when its tail interlaces below eta."""
+    return int(exists_hom(as_partition(limit.tail), as_partition(eta)))
+
+
 def test_limit_label_multiplicity():
     limit = LimitLabel((2, 1), 3)
-    assert limit.multiplicity((5, 2, 1)) == 1
-    assert limit.multiplicity((2, 2, 1)) == 1
-    assert limit.multiplicity((1, 1, 1)) == 0  # first row below the tail start
-    assert limit.multiplicity((5, 3, 1)) == 0  # second row exceeds the tail
-    assert limit.multiplicity((5, 2, 1, 1)) == 0  # too many rows
+    assert multiplicity(limit, (5, 2, 1)) == 1
+    assert multiplicity(limit, (2, 2, 1)) == 1
+    assert multiplicity(limit, (1, 1, 1)) == 0  # first row below the tail start
+    assert multiplicity(limit, (5, 3, 1)) == 0  # second row exceeds the tail
+    assert multiplicity(limit, (5, 2, 1, 1)) == 0  # too many rows
 
 
 def _subset_model(lam):
@@ -339,4 +349,95 @@ def test_limit_label_multiplicity_against_a_row_model():
             want = len(eta) <= n and all(
                 rows[i] >= tail[i] >= rows[i + 1] for i in range(n - 1)
             )
-            assert limit.multiplicity(eta) == int(want), (tail, eta)
+            assert multiplicity(limit, eta) == int(want), (tail, eta)
+
+
+def _df_limit_labels():
+    """Each limit label the df family builds for n <= 3 and |mu| <= 6, with the
+    size bound m of the resolutions suite's truncation."""
+    for n in (1, 2, 3):
+        for mu in partitions_bounded(n, 6):
+            for _, labels in resolution_df_p(mu, n).terms:
+                for label in labels:
+                    if isinstance(label, LimitLabel):
+                        yield label, sum(mu) + 2 * n + 2
+
+
+def test_limit_label_above_tail_enumeration_is_the_reference_support():
+    # the eta the Euler check counts for a limit label, listed above its tail
+    # size by size, are exactly the eta of size <= m where the reference is 1
+    etas = {}
+    for limit, m in _df_limit_labels():
+        if m not in etas:
+            etas[m] = list(partitions_up_to(m))
+        listed = [
+            eta for s in range(m + 1)
+            for eta in interlacing(as_partition(limit.tail), above=True, total=s)
+        ]
+        assert len(listed) == len(set(listed)), limit
+        assert set(listed) == {eta for eta in etas[m] if multiplicity(limit, eta)}, (limit, m)
+
+
+def reference_graded_euler_check(res, target, tr) -> bool:
+    """The graded Euler check as an every-label loop: each label of the
+    truncation tests every projective of the complex."""
+    for eta in tr.iter_labels():
+        total = 0
+        for degree, labels in res.terms:
+            sign = -1 if degree % 2 else 1
+            for label in labels:
+                if isinstance(label, LimitLabel):
+                    total += sign * multiplicity(label, eta)
+                elif exists_hom(eta, label):
+                    total += sign
+        if total != target(eta):
+            return False
+    return True
+
+
+def _euler_cases():
+    """Every (family, resolution, target, truncation) the resolutions suite checks at size 6."""
+    for n in (1, 2, 3):
+        for lam in partitions_bounded(n, 6):
+            m = sum(lam) + 2 * n + 2
+            tr = Truncation.rows_and_size(n, m)
+            yield "q", resolution_q(lam, n), q_module_dims(lam, n, m), tr
+            yield "df", resolution_df_p(lam, n), df_tensor_dims(lam, n), tr
+            yield "simple", resolution_simple(lam, n), simple_dims(lam), tr
+
+
+def _reached(res, eta):
+    """Which kinds of projective of ``res`` have a basis vector at eta."""
+    return {
+        "limit" if isinstance(label, LimitLabel) else "finite"
+        for _, labels in res.terms
+        for label in labels
+        if (multiplicity(label, eta) if isinstance(label, LimitLabel) else exists_hom(eta, label))
+    }
+
+
+def test_graded_euler_check_against_the_every_label_loop():
+    kinds = set()
+    for family, res, target, tr in _euler_cases():
+        assert graded_euler_check(res, target, tr) is reference_graded_euler_check(res, target, tr) is True
+        # the target changed at one label: the first and last truncation
+        # label of each kind, reached by a finite projective, only by a limit
+        # projective, or by none
+        by_kind = {}
+        for eta in tr.iter_labels():
+            by_kind.setdefault(frozenset(_reached(res, eta)), []).append(eta)
+        for kind, etas in by_kind.items():
+            kinds.add((family, kind))
+            for changed in {etas[0], etas[-1]}:
+                shifted = lambda eta, c=changed: target(eta) + (eta == c)
+                want = reference_graded_euler_check(res, shifted, tr)
+                assert graded_euler_check(res, shifted, tr) is want, (res.terms, changed)
+        # one label dropped from the complex
+        for index, (degree, labels) in enumerate(res.terms):
+            for pos in range(len(labels)):
+                terms = list(res.terms)
+                terms[index] = (degree, labels[:pos] + labels[pos + 1:])
+                dropped = Resolution(terms)
+                want = reference_graded_euler_check(dropped, target, tr)
+                assert graded_euler_check(dropped, target, tr) is want, (res.terms, degree, pos)
+    assert ("q", frozenset()) in kinds and ("df", frozenset({"limit"})) in kinds
