@@ -161,8 +161,7 @@ class LimitLabel:
 
     Its multiplicity at eta is 1 when the tail interlaces below eta,
     eta_1 >= t_1 >= eta_2 >= ... >= t_{n-1} >= eta_n, and 0 otherwise;
-    eta then has at most n rows, and those of size s are
-    ``interlacing(tail, above=True, total=s)``.
+    eta then has at most n rows.
     """
 
     tail: tuple[int, ...]  # n-1 weakly decreasing values, zeros kept

@@ -66,11 +66,10 @@ def energy_basis(max_energy: int, charge: int):
         yield to_sequence(p).shift(charge)
 
 
-def _add_word(data: dict, t_key, i: int, images) -> dict:
-    """Add t_i of the (sign, sequence) pairs ``images`` into ``data``, key by key."""
-    for c1, middle in images:
-        for c2, image in t_key(i, middle):
-            _accumulate(data, image, c1 * c2)
+def _add_word(data: dict, i: int, pairs) -> dict:
+    """Add ``fock._t_pairs(i, pairs)`` into ``data``."""
+    for c, image in fock._t_pairs(i, pairs):
+        _accumulate(data, image, c)
     return data
 
 
@@ -78,22 +77,20 @@ def suite_clifford(max_size: int) -> SuiteResult:
     """Generator relations, exactly, on low-energy vectors of small charge.
 
     Each generator acts once on each basis sequence s, and the word t_i t_j s
-    is t_i of that first image, added into a plain dict: both come from
-    ``fock._t_key``, read when the suite runs, through ``formal._accumulate``,
-    the key action and accumulation ``apply_t`` uses.  Each basis vector's
-    text is formatted once.
+    is ``fock._t_pairs`` of that first image, added into a plain dict through
+    ``formal._accumulate``: the key action (``fock._t_key``, read at run time)
+    and accumulation ``apply_t`` uses.  Each basis vector's text is formatted once.
     """
     result = SuiteResult("clifford", max_size)
-    t_key = fock._t_key
     indices = range(-6, 7)
     for k in range(-2, 3):
         for s in energy_basis(max_size, k):
             text = str(s)
-            first = {j: t_key(j, s) for j in indices}
+            first = {j: fock._t_key(j, s) for j in indices}
             for i in indices:
-                result.check(f"square i={i} {text}", not _add_word({}, t_key, i, first[i]))
+                result.check(f"square i={i} {text}", not _add_word({}, i, first[i]))
                 for j in range(i + 1, indices.stop):
-                    total = _add_word(_add_word({}, t_key, i, first[j]), t_key, j, first[i])
+                    total = _add_word(_add_word({}, i, first[j]), j, first[i])
                     if j == i + 1:
                         result.check(f"adjacent i={i} j={j} {text}", total == {s: 1})
                     else:
@@ -329,8 +326,8 @@ def suite_identities(max_size: int) -> SuiteResult:
 # took 21.4 and 27.2 s and 17 MB, and at 114 took 26.2 and 32.2 s;
 # ``identities`` at 54 took 27.2 and 28.4 s and 17 MB, and at 55 took 29.7 and
 # 33.8 s; two runs of ``tools/ladder.py --cap-from 25`` both put ``clifford`` at
-# 26 (12 runs, 18.3 to 25.4 s and 21 MB), as 27 took 31.6 s in one and 32.8 and
-# 35.2 s in the other; ``resolutions`` does the same work from 6 up, so its cap is 6.
+# 26 (21.7 to 27.8 s, 21 MB), as 27 broke 30 s in each; ``resolutions`` does the
+# same work from 6 up, so its cap is 6.
 SUITES = {
     "clifford": (suite_clifford, 6, 26),
     "heisenberg": (suite_heisenberg, 10, 41),

@@ -161,9 +161,9 @@ def test_clifford_suite_words_are_the_public_operator():
             first = {j: t_key(j, s) for j in indices}
             for i in indices:
                 for j in indices:
-                    word = _add_word({}, t_key, i, first[j])
+                    word = _add_word({}, i, first[j])
                     assert word == apply_word((i, j), v)._terms, (i, j, s)
-                    total = _add_word(dict(word), t_key, j, first[i])
+                    total = _add_word(dict(word), j, first[i])
                     want = apply_word((i, j), v) + apply_word((j, i), v)
                     assert total == want._terms, (i, j, s)
 

@@ -63,27 +63,25 @@ def test_cap_steps_write_every_run(tmp_path):
         assert run["passed"] is True and run["cases"] == steps["cases"][str(run["size"])]
 
 
-def test_cap_steps_at_tiny_limits():
-    # no run keeps under 0 s, so the start itself breaks the rule after one step
-    steps = _ladder_module().cap_steps(ROOT, "resolutions", 0, 3, limit_s=0)
-    assert steps["cap"] is None and steps["decision"].startswith("cap None: the start 0 breaks the rule")
-    assert steps["rule"] == "every run under 0 s and 100 MB"
-    assert [run["size"] for run in steps["runs"]] == [0, 1, 1, 0, 0, 1]
-
-
 def test_cap_steps_stop_at_the_first_size_that_breaks_the_rule(monkeypatch):
     ladder = _ladder_module()
     calls = []
 
     def fake_run(checkout, suite, size):
         calls.append(size)
-        return {"cases": size, "passed": True, "seconds": size / 10, "cpu_s": size / 10,
-                "peak_rss_mb": 20.0 if size < 6 else 120.0}
+        return {"cases": size, "passed": True, "seconds": 31.0 if size == 4 else 1.0, "cpu_s": 1.0,
+                "peak_rss_mb": 120.0 if size >= 6 else 20.0}
 
     monkeypatch.setattr(ladder, "run_once", fake_run)
-    steps = ladder.cap_steps(ROOT, "clifford", 1, 4, limit_s=0.35)
+    steps = ladder.cap_steps(ROOT, "clifford", 1, 4)
+    assert steps["rule"] == "every run under 30 s and 100 MB"
     assert steps["cap"] == 3 and steps["decision"].startswith("cap 3: 4 breaks the rule")
     assert calls == [size for n in (1, 2, 3) for size in (n, n + 1, n + 1, n, n, n + 1, n + 1, n)]
-    # memory breaks the rule as time does; from a start past it, there is no cap to give
-    assert ladder.cap_steps(ROOT, "clifford", 4, 3)["cap"] == 5
+    # memory breaks the rule as time does
+    assert ladder.cap_steps(ROOT, "clifford", 5, 3)["cap"] == 5
+    # a start that breaks the rule gives no cap, after one step
+    calls.clear()
+    steps = ladder.cap_steps(ROOT, "clifford", 4, 3)
+    assert steps["cap"] is None and steps["decision"].startswith("cap None: the start 4 breaks the rule")
+    assert calls == [4, 5, 5, 4, 4, 5]
     assert ladder.cap_steps(ROOT, "clifford", 6, 3)["cap"] is None

@@ -18,7 +18,7 @@ the usual parent checkout.
 With ``--cap-from`` it instead re-decides the ``verify`` cap of one
 suite on the ``--change`` checkout alone, by the rule in the comment above
 ``suites.SUITES``: the cap is the largest size whose runs all took under
-30 s and 100 MB.  Starting at the given size n, each step runs sizes n and
+``LIMIT_S`` and ``LIMIT_MB``.  Starting at the given size n, each step runs sizes n and
 n + 1 in the same rounds (at least 3), the size that goes first alternating
 from round to round, and steps up while both sizes keep to the rule.  It
 stops at the first size whose runs break the rule, or when n + 1 checks no
@@ -47,6 +47,10 @@ CHILD = (
     "print(json.dumps({'cases': r.cases, 'passed': r.passed, 'seconds': round(s, 3), 'cpu_s': round(c, 3), "
     "'peak_rss_mb': round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))"
 )
+
+
+# The rule above ``suites.SUITES``: a verify cap is a size whose runs all keep under both.
+LIMIT_S, LIMIT_MB = 30, 100
 
 
 def run_once(checkout: Path, suite: str, size: int) -> dict:
@@ -85,13 +89,12 @@ def ladder(checkouts: dict[str, Path], suite: str, sizes: list[int], rounds: int
     return out
 
 
-def cap_steps(checkout: Path, suite: str, start: int, rounds: int,
-              limit_s: float = 30.0, limit_mb: float = 100.0) -> dict:
+def cap_steps(checkout: Path, suite: str, start: int, rounds: int) -> dict:
     """Step the ``verify`` cap of ``suite`` up from ``start``; see the module docstring."""
     runs, cases = [], {}
 
     def keeps_to_rule(size):
-        return all(run["seconds"] < limit_s and run["peak_rss_mb"] < limit_mb
+        return all(run["seconds"] < LIMIT_S and run["peak_rss_mb"] < LIMIT_MB
                    for run in runs if run["size"] == size)
 
     n = start
@@ -120,7 +123,7 @@ def cap_steps(checkout: Path, suite: str, start: int, rounds: int,
                     f"{max(run['seconds'] for run in mine)} s, up to {max(run['peak_rss_mb'] for run in mine)} MB")
     return {
         "suite": suite,
-        "rule": f"every run under {limit_s:g} s and {limit_mb:g} MB",
+        "rule": f"every run under {LIMIT_S} s and {LIMIT_MB} MB",
         "start": start,
         "rounds": rounds,
         "runs": runs,
