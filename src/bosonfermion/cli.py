@@ -23,13 +23,16 @@ from .suites import SUITES, run_suite
 
 USAGE_ERROR = 2
 # Largest |index| accepted by every indexed operator of ``act``: their work
-# and memory grow with the index (a tail removal materialises about index/2
-# entries, the truncated sums apply one word per index up to it, and a strip
+# and memory grow with the index (an image's masks reach the value about
+# 2 * index, the truncated sums apply one word per index up to it, and a strip
 # of length m adds or removes m boxes, building m rows of the dual shape).
 MAX_FOCK_INDEX = 1000
-# Largest |charge| of an ``act --on`` sequence, for the same reason: a tail
-# removal from a charge-k sequence materialises about |k| head entries.
+# Largest |charge| and |entry| of an ``act --on`` sequence, checked before its
+# masks, of |charge| and |entry| / 2 bits, are built.  At both caps the worst
+# input found, sn1000 on seq:1000:-2000,-1998,...,2000 (2001 images of 2001
+# entries) took 1.3 to 1.7 s and 211 MB, printing 24 MB with --json (2-vCPU x86).
 MAX_FOCK_CHARGE = 1000
+MAX_FOCK_ENTRY = 2000
 # Largest partition a strip operator of ``act`` reads or builds: |lam| for
 # q_row and q_col, |lam| + m for p_row and p_col.  The strip enumerator walks
 # the rows without recursing, so a long row or column is cheap (q_col1 on
@@ -44,6 +47,12 @@ MAX_STRIP_SIZE = 100
 # takes 0.26 to 0.35 s and 19 MB, import included, on a 2-vCPU x86 host), and
 # ``complex`` builds and prints C with k = lam_1 (lam_1 = 400 printed 20 MB).
 MAX_DET_K = 60
+# Largest row count of ``det`` and ``complex``: C's entries 1/(i + lam'_j - j)!
+# grow with the rows.  The worst input at the cap, 40 rows of 60 with k = 60,
+# has a 3955-digit determinant (at 44 rows it passes Python's 4300-digit limit
+# on printing an int); ``det --json`` took 0.46 to 0.65 s and 20 MB on it, and
+# ``complex --json`` 0.10 to 0.11 s and 19 MB (2-vCPU x86 host).
+MAX_DET_ROWS = 40
 # Largest |mu| of ``coeff``.  The oracle acts on one content vector of lam1,
 # so no route grows with the number of tableaux: the path (5,4,2,1) ->
 # (5,4,3,1) -> (5,4,3,2), |mu| = 14, takes 0.14 to 0.16 s and 17 MB, import
@@ -97,7 +106,7 @@ def parse_sequence(text: str) -> ChargedSequence:
     body = text.strip()
     if body.startswith("vac:"):
         try:
-            seq = ChargedSequence.vacuum(int(body[4:]))
+            charge, entries = int(body[4:]), []
         except ValueError as exc:
             raise CliError(f"bad vacuum charge in {text!r}") from exc
     elif body.startswith("seq:"):
@@ -107,14 +116,19 @@ def parse_sequence(text: str) -> ChargedSequence:
         try:
             charge = int(parts[1])
             entries = [int(x) for x in parts[2].split(",")] if parts[2] else []
-            seq = ChargedSequence.of(charge, entries)
         except ValueError as exc:
             raise CliError(f"bad sequence {text!r}: {exc}") from exc
     else:
         raise CliError(f"cannot parse sequence {text!r}; expected vac:<k> or seq:<k>:<entries>")
-    if abs(seq.charge) > MAX_FOCK_CHARGE:
-        raise CliError(f"charge {seq.charge} in {text!r} exceeds the cap |charge| <= {MAX_FOCK_CHARGE}")
-    return seq
+    if abs(charge) > MAX_FOCK_CHARGE:
+        raise CliError(f"charge {charge} in {text!r} exceeds the cap |charge| <= {MAX_FOCK_CHARGE}")
+    for x in entries:
+        if abs(x) > MAX_FOCK_ENTRY:
+            raise CliError(f"entry {x} in {text!r} exceeds the cap |entry| <= {MAX_FOCK_ENTRY}")
+    try:
+        return ChargedSequence.of(charge, entries)
+    except ValueError as exc:
+        raise CliError(f"bad sequence {text!r}: {exc}") from exc
 
 
 def schur_text(v: SchurVector) -> str:
@@ -213,6 +227,8 @@ def run_complex(args) -> int:
     lam = parse_partition(args.lam)
     if lam and lam[0] > MAX_DET_K:
         raise CliError(f"lam_1 = {lam[0]} exceeds the cap lam_1 <= {MAX_DET_K}")
+    if len(lam) > MAX_DET_ROWS:
+        raise CliError(f"len(lam) = {len(lam)} exceeds the cap len(lam) <= {MAX_DET_ROWS}")
     w = co.wtq_tensor(lam)
     if args.json:
         print(json.dumps(w.to_json()))
@@ -265,6 +281,8 @@ def run_resolve(args) -> int:
 
 def run_det(args) -> int:
     lam = parse_partition(args.lam)
+    if len(lam) > MAX_DET_ROWS:
+        raise CliError(f"len(lam) = {len(lam)} exceeds the cap len(lam) <= {MAX_DET_ROWS}")
     k = args.k if args.k is not None else (lam[0] if lam else 1)
     if k < 0:
         raise CliError(f"k must be non-negative, got {k}")

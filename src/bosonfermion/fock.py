@@ -3,18 +3,19 @@
 Vectors are finite rational combinations of charged sequences.  The odd and
 even generators act by contraction and insertion; the vertex-operator style
 partial sums are evaluated over the finite index window that can act
-nontrivially on the support of the input.  Every image is made by
-``ChargedSequence.insert``, ``remove`` or ``shift`` from a sequence already in
-canonical form, so the operators accumulate through ``FormalSum._apply``
-without checking each key again.  A key is a ``(charge, head)`` tuple, hashed
-and compared by the tuple's own C code, and each image carries a sign of
-+-1, which ``_apply`` applies by negation.
+nontrivially on the support of the input.  Every image is made from a
+sequence's bit masks by ``partitions.clifford_t`` or by ``ChargedSequence.remove``
+or ``shift``, so the operators accumulate through ``FormalSum._apply``
+without checking each key again.  A key hashes and compares as its two
+masks, in C; terms print in the order of ``FockVector._sort_key``, by
+(charge, head).  Each image carries a sign of +-1, which ``_apply`` applies
+by negation.
 """
 
 from __future__ import annotations
 
 from .formal import FormalSum
-from .partitions import ChargedSequence
+from .partitions import ChargedSequence, clifford_t
 
 CliffordWord = tuple[int, ...]
 
@@ -28,6 +29,10 @@ class FockVector(FormalSum):
             raise TypeError(f"FockVector keys must be ChargedSequence, got {key!r}")
         return key
 
+    @staticmethod
+    def _sort_key(key):
+        return key.charge, key.head
+
     def to_json(self):
         return self.json_terms("sequence", lambda k: {"charge": k.charge, "head": list(k.head)})
 
@@ -40,14 +45,6 @@ def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def _psi_key(j: int, key: ChargedSequence):
-    ins = key.insert(2 * j)
-    if ins is None:
-        return []
-    n, seq = ins
-    return [(_sign(n), seq)]
-
-
 def _psi_star_key(j: int, key: ChargedSequence):
     rem = key.remove(2 * j)
     if rem is None:
@@ -56,12 +53,10 @@ def _psi_star_key(j: int, key: ChargedSequence):
     return [(_sign(n - 1), seq)]
 
 
-def _t_key(i: int, key: ChargedSequence):
-    """Images of one sequence under t_i as (sign, sequence) pairs."""
-    if i % 2 == 0:
-        return _psi_key(i // 2, key)
-    j = (i + 1) // 2
-    return _psi_star_key(j, key) + _psi_star_key(j - 1, key)
+# Images of one sequence under t_i as (sign, sequence) pairs.  Every operator
+# here, and the Clifford sweep in ``suites``, reads this name at run time, so
+# it is the one place to patch the generator action.
+_t_key = clifford_t
 
 
 def _t_pairs(i: int, pairs):
@@ -74,8 +69,8 @@ def _t_pairs(i: int, pairs):
 
 
 def apply_psi(j: int, v: FockVector) -> FockVector:
-    """Insert the value 2j with the fermionic sign; zero where 2j is present."""
-    return v._apply(lambda key: _psi_key(j, key))
+    """Insert the value 2j with the fermionic sign; zero where 2j is present: t_{2j}."""
+    return v._apply(lambda key: _t_key(2 * j, key))
 
 
 def apply_psi_star(j: int, v: FockVector) -> FockVector:
@@ -109,17 +104,15 @@ def s_bar_n(n: int, v: FockVector) -> FockVector:
 
     t_{2i+1} removes 2i or 2i+2, so only the indices i = x/2 - 1 and x/2 of
     a present value x can contribute.  Those with i <= n come from the values
-    x <= 2n + 2: the head entries and the tail values up to 2n + 2.  The sum
-    runs over just these indices, in ascending order.
+    x <= 2n + 2, which ``present_up_to`` reads off the masks.  The sum runs
+    over just these indices, in ascending order.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     top = 2 * n + 2
 
     def images(key):
-        present = [x for x in key.head if x <= top]
-        present.extend(range(key.first_tail_value, top + 1, 2))
-        window = sorted({i for x in present for i in (x // 2 - 1, x // 2) if i <= n})
+        window = sorted({i for x in key.present_up_to(top) for i in (x // 2 - 1, x // 2) if i <= n})
         return [(_sign(i) * c, seq) for i in window for c, seq in _t_key(2 * i + 1, key)]
 
     return tau(v._apply(images), -1)

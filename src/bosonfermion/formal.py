@@ -14,9 +14,10 @@ hook ``_check_key``.  ``__add__`` and ``linear_combination`` combine only
 vectors of one type, whose keys have passed it already.  The operators in
 ``schur`` and ``fock`` use the private ``_apply``, which skips the hook: their
 images come only from primitives that return normalised keys (``res_set``,
-``ind_set``, the strip enumerators, ``ChargedSequence.insert``, ``remove``
-and ``shift``).  In ``_apply`` an image coefficient of 1 keeps the stored
-coefficient and one of -1 negates it; only other values multiply.
+``ind_set``, the strip enumerators, ``partitions.clifford_t`` and
+``ChargedSequence.remove`` and ``shift``).  In ``_apply`` an image coefficient
+of 1 keeps the stored coefficient and one of -1 negates it; only other values
+multiply.
 """
 
 from __future__ import annotations
@@ -115,8 +116,14 @@ class FormalSum:
         """The (key, coefficient) pairs, each coefficient a ``Fraction``."""
         return [(key, _public(coeff)) for key, coeff in self._terms.items()]
 
+    @staticmethod
+    def _sort_key(key):
+        """What ``sorted_items`` orders a key by."""
+        return key
+
     def sorted_items(self) -> list:
-        return sorted(self.items(), key=lambda kv: kv[0])
+        order = self._sort_key
+        return sorted(self.items(), key=lambda kv: order(kv[0]))
 
     def coefficient(self, key) -> Fraction:
         return _public(self._terms.get(key, 0))

@@ -20,6 +20,7 @@ labels ``interlacing`` lists for it, a limit projective's from above its tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from .formal import FormalSum
@@ -126,9 +127,14 @@ class Truncation:
         return self.kind == "rows_size"
 
     def iter_labels(self):
+        """The labels of the finite truncation, normalised, enumerated once per truncation."""
+        return iter(self._labels)
+
+    @cached_property
+    def _labels(self) -> tuple:
         if not self.is_finite:
             raise ValueError("only the rows-and-size truncation is finite")
-        yield from partitions_bounded(self.n, self.m)
+        return tuple(partitions_bounded(self.n, self.m))
 
 
 def projective_basis(lam, tr: Truncation) -> list[ArrowElement]:
@@ -390,15 +396,18 @@ def serre_bar_k0(lam, n: int) -> Partition:
 
 
 def q_module_dims(lam, n: int, m: int):
+    """Euler target: 1 at the twisted module's sources; eta normalised, as ``iter_labels`` yields it."""
     sources = {a.source for a in q_module_basis(lam, n, m)}
-    return lambda eta: 1 if as_partition(eta) in sources else 0
+    return lambda eta: 1 if eta in sources else 0
 
 
 def df_tensor_dims(mu, n: int):
+    """Euler target: 1 at each eta of at most n rows above mu; eta normalised."""
     mu = as_partition(mu)
-    return lambda eta: 1 if len(eta := as_partition(eta)) <= n and exists_hom(mu, eta) else 0
+    return lambda eta: 1 if len(eta) <= n and exists_hom(mu, eta) else 0
 
 
 def simple_dims(lam):
+    """Euler target: 1 at lam alone; eta normalised."""
     lam = as_partition(lam)
-    return lambda eta: 1 if as_partition(eta) == lam else 0
+    return lambda eta: 1 if eta == lam else 0

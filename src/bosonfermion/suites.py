@@ -16,12 +16,11 @@ from fractions import Fraction
 from . import correspondence as co
 from . import fock, quiver, schur, symgroup
 from .partitions import (
-    ChargedSequence,
-    _canonical,
     added_box,
     as_partition,
     content,
     dual,
+    dual_sequence,
     partitions_bounded,
     partitions_up_to,
     res_set,
@@ -201,18 +200,13 @@ def suite_bfhcl(max_size: int) -> SuiteResult:
     return result
 
 
-def _dual_sequence(lam) -> ChargedSequence:
-    """``to_sequence(dual(lam))`` read off lam's rows, unchecked: its head is ``2j - 2 lam_j``."""
-    return _canonical(0, tuple([2 * j - 2 * row for j, row in enumerate(lam, 1)]))
-
-
 def suite_serre(max_size: int) -> SuiteResult:
     """Column and row Serre twists at the sequence level, plus the pairing biconditional."""
     result = SuiteResult("serre", max_size)
     for n in range(5):
         for lam in partitions_bounded(n, max_size):
-            lhs = fock.s_bar_n(n, FockVector.basis(_dual_sequence(lam)))
-            rhs = FockVector.basis(_dual_sequence(union_columns(lam, n)))
+            lhs = fock.s_bar_n(n, FockVector.basis(dual_sequence(lam)))
+            rhs = FockVector.basis(dual_sequence(union_columns(lam, n)))
             result.check(f"bar twist n={n} lam={lam}", lhs == rhs)
     for n in range(4):
         for lam in partitions_bounded(n, min(max_size, 8)):
@@ -322,17 +316,19 @@ def suite_identities(max_size: int) -> SuiteResult:
 # one run is within the host's noise.  ``bfhcl`` at 25 took 14.0, 15.6 and
 # 16.9 s and 84 MB, and at 26 took 20.4 to 21.4 s and 104 MB in three runs,
 # interleaved with 24 and 25, so memory sets its cap; ``heisenberg`` at 41 took
-# 28.4 and 22.7 s and 22 MB, and at 42 took 30.2 and 24.5 s; ``serre`` at 113
-# took 21.4 and 27.2 s and 17 MB, and at 114 took 26.2 and 32.2 s;
-# ``identities`` at 54 took 27.2 and 28.4 s and 17 MB, and at 55 took 29.7 and
-# 33.8 s; two runs of ``tools/ladder.py --cap-from 25`` both put ``clifford`` at
-# 26 (21.7 to 27.8 s, 21 MB), as 27 broke 30 s in each; ``resolutions`` does the
-# same work from 6 up, so its cap is 6.
+# 28.4 and 22.7 s and 22 MB, and at 42 took 30.2 and 24.5 s; ``identities`` at
+# 54 took 27.2 and 28.4 s and 17 MB, and at 55 took 29.7 and 33.8 s; runs of
+# ``tools/ladder.py --cap-from`` set the other two, each cap the smaller of two
+# runs: ``clifford`` 27 (from 26: 28 broke 30 s in the first run, 30 in the
+# second; 27 took 14.3 to 29.4 s over 12 runs, 17 MB) and ``serre`` 136
+# (from 113 and from 133: 137 broke 30 s in the first run, 138 in the second;
+# 136 took 22.9 to 28.3 s over 12 runs, 17 MB);
+# ``resolutions`` does the same work from 6 up, so its cap is 6.
 SUITES = {
-    "clifford": (suite_clifford, 6, 26),
+    "clifford": (suite_clifford, 6, 27),
     "heisenberg": (suite_heisenberg, 10, 41),
     "bfhcl": (suite_bfhcl, 8, 25),
-    "serre": (suite_serre, 10, 113),
+    "serre": (suite_serre, 10, 136),
     "resolutions": (suite_resolutions, 6, 6),
     "identities": (suite_identities, 12, 54),
 }

@@ -7,7 +7,9 @@ from bosonfermion import cli, symgroup
 from bosonfermion.cli import (
     MAX_COEFF_SIZE,
     MAX_DET_K,
+    MAX_DET_ROWS,
     MAX_FOCK_CHARGE,
+    MAX_FOCK_ENTRY,
     MAX_FOCK_INDEX,
     MAX_STRIP_SIZE,
     main,
@@ -97,6 +99,25 @@ def test_act_charge_cap(capsys, on):
         code, out, err = run(capsys, "act", "--op", "t1", "--on", on.format(k=k))
         assert code == 2 and out == "", k
         assert f"|charge| <= {MAX_FOCK_CHARGE}" in err
+
+
+def test_act_entry_cap(capsys):
+    for on in (f"seq:0:-{MAX_FOCK_ENTRY}", f"seq:{MAX_FOCK_CHARGE}:-{MAX_FOCK_ENTRY},{MAX_FOCK_ENTRY}"):
+        code, out, _ = run(capsys, "act", "--op", "t1", "--on", on, "--json")
+        assert code == 0 and "vector" in json.loads(out), on
+    for entry in (-MAX_FOCK_ENTRY - 2, MAX_FOCK_ENTRY + 2):
+        code, out, err = run(capsys, "act", "--op", "t1", "--on", f"seq:{MAX_FOCK_CHARGE}:{entry}")
+        assert code == 2 and out == "", entry
+        assert f"|entry| <= {MAX_FOCK_ENTRY}" in err
+
+
+@pytest.mark.parametrize("on, cap", [("vac:1000000000", "|charge| <= "), ("seq:0:-2000000000", "|entry| <= "),
+                                     ("seq:-1000000000:0", "|charge| <= ")])
+def test_act_bounds_a_sequence_before_building_it(monkeypatch, capsys, on, cap):
+    # a mask has a bit per value up to the farthest one: 10^9 bits here
+    monkeypatch.setattr(cli, "ChargedSequence", None)
+    code, out, err = run(capsys, "act", "--op", "t1", "--on", on)
+    assert code == 2 and out == "" and cap in err
 
 
 @pytest.mark.parametrize("op", ["p_row", "p_col", "q_row", "q_col"])
@@ -222,6 +243,28 @@ def test_complex_runs_at_the_cap(capsys):
     code, out, _ = run(capsys, "complex", "--lam", f"({MAX_DET_K})", "--json")
     assert code == 0
     assert json.loads(out)["copies"] == MAX_DET_K
+
+
+def rows_of(row, count):
+    return "(" + ",".join([str(row)] * count) + ")"
+
+
+@pytest.mark.parametrize("command", [["det", "--k", str(MAX_DET_K)], ["complex"]])
+def test_det_and_complex_bound_the_rows(monkeypatch, capsys, command):
+    # the worst input at the cap prints a determinant of 3955 digits
+    code, out, _ = run(capsys, *command, "--lam", rows_of(MAX_DET_K, MAX_DET_ROWS), "--json")
+    assert code == 0 and json.loads(out)
+    monkeypatch.setattr(cli.co, "matrix_c", lambda *args: pytest.fail("C was built past the cap"))
+    for row in (1, MAX_DET_K):
+        code, out, err = run(capsys, *command, "--lam", rows_of(row, MAX_DET_ROWS + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: len(lam) = {MAX_DET_ROWS + 1} exceeds the cap len(lam) <= {MAX_DET_ROWS}\n"
+
+
+def test_det_names_the_cap_where_printing_the_determinant_would_fail(capsys):
+    # 3000 rows of 1 with k = 1: a determinant of 1/3000!, 9131 digits
+    code, out, err = run(capsys, "det", "--lam", rows_of(1, 3000), "--k", "1")
+    assert code == 2 and out == "" and "exceeds the cap" in err and "digits" not in err
 
 
 def test_det_rejects_a_negative_k(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,7 +22,6 @@ from bosonfermion.partitions import (
     ChargedSequence,
     dual,
     ind_set,
-    normalize,
     partitions_bounded,
     partitions_up_to,
     res_set,
@@ -44,6 +44,32 @@ def energy_keys(max_energy, charges=(-2, -1, 0, 1, 2)):
 
 
 # -- creation and annihilation ------------------------------------------------
+
+def normalize(values, k: int) -> tuple[int, ChargedSequence] | None:
+    """Sort an explicit prefix into a charged sequence, tracking the sign.
+
+    Returns ``(sign, sequence)`` where sign is the parity of the sorting
+    permutation, or None when any value repeats (including collisions with
+    the implied tail), which annihilates a fermionic wedge.  The independent
+    sign reference for the generators; ``test_partitions`` tests it.
+    """
+    vals = [int(x) for x in values]
+    for x in vals:
+        if x % 2 != 0:
+            raise ValueError(f"odd entry {x}")
+    m = len(vals)
+    top = max(vals, default=0)
+    combined = vals + [2 * i + 2 * k for i in range(m + 1, (top - 2 * k) // 2 + 1)]
+    if len(set(combined)) != len(combined):
+        return None
+    inversions = sum(
+        1
+        for i, j in product(range(len(combined)), repeat=2)
+        if i < j and combined[i] > combined[j]
+    )
+    sign = -1 if inversions % 2 else 1
+    return sign, ChargedSequence.of(k, sorted(combined))
+
 
 def psi_via_normalize(j, s):
     """Oracle: prepend the new value and sort, instead of position arithmetic."""

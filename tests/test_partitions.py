@@ -1,10 +1,12 @@
 import copy
 import pickle
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonfermion import fock
 from bosonfermion.fock import FockVector
 from bosonfermion.partitions import (
     ChargedSequence,
@@ -14,12 +16,12 @@ from bosonfermion.partitions import (
     added_box,
     as_partition,
     dual,
+    dual_sequence,
     energy,
     from_sequence,
     ind_set,
     interlacing,
     lambda_t,
-    normalize,
     part,
     partitions_of,
     partitions_up_to,
@@ -30,6 +32,7 @@ from bosonfermion.partitions import (
     union_columns,
 )
 from bosonfermion.suites import energy_basis
+from test_fock import normalize  # the sign reference the generator tests use
 
 
 def partitions(max_size=12):
@@ -286,21 +289,26 @@ def test_no_public_constructor_skips_the_check():
 
 
 def test_sequences_hash_compare_and_print_as_charge_head_pairs():
+    # a sequence is the tuple of its two masks: equal values make equal,
+    # equally hashed keys, and FockVector orders its terms by (charge, head)
     sample = [s for k in range(-2, 3) for s in energy_basis(5, k)]
     pairs = [(s.charge, s.head) for s in sample]
-    assert len(set(sample)) == len(sample)
+    assert len(set(sample)) == len(set(pairs)) == len(sample)
     for s, pair in zip(sample, pairs):
-        assert hash(s) == hash(pair) and s == pair and s[0] == s.charge and s[1] == s.head
+        rebuilt = ChargedSequence(*pair)
+        assert rebuilt == s and hash(rebuilt) == hash(s) and s != pair
         assert repr(s) == str(s) == f"ChargedSequence(charge={pair[0]!r}, head={pair[1]!r})"
+    order = FockVector._sort_key
     for s, pair in zip(sample[::7], pairs[::7]):
         for t, other in zip(sample, pairs):
-            assert (s < t) == (pair < other) and (s == t) == (pair == other)
-    assert sorted(sample) == [ChargedSequence(*pair) for pair in sorted(pairs)]
-    # the tuple API comes with the type: two items, and a plain pair finds the sequence's term
-    s = to_sequence((2, 1))
-    assert len(s) == 2 and tuple(s) == (s.charge, s.head)
+            assert (order(s) < order(t)) == (pair < other) and (s == t) == (pair == other)
+    assert sorted(sample, key=order) == [ChargedSequence(*pair) for pair in sorted(pairs)]
+    shuffled = FockVector([(s, 1) for s in sample[::-1]])
+    assert [s for s, _ in shuffled.sorted_items()] == sorted(sample, key=order)
+    # a plain pair is no key: it finds no term
     vac = FockVector.basis(ChargedSequence.vacuum(0))
-    assert vac.coefficient((0, ())) == 1 and (0, ()) in vac.support
+    assert vac.coefficient((0, ())) == 0 and (0, ()) not in vac.support
+    assert vac.coefficient(ChargedSequence(0, ())) == 1
 
 
 def test_odd_values():
@@ -597,3 +605,112 @@ def test_normalize_against_model(values, k):
     assert sign == (-1) ** inversions(explicit)
     assert seq.charge == k
     assert list(seq.prefix(len(explicit))) == sorted(explicit)
+
+
+# -- the masks against the tuple-head reference -----------------------------
+
+# A charged sequence as it was stored before its masks: the charge and the
+# minimal head, changed by one bisection of the head, a slice and a trim.
+# Each function returns (count, (charge, head)) or None, as the methods do.
+
+def ref_first_tail(charge, m):
+    return 2 * (m + 1) + 2 * charge
+
+
+def ref_trim(charge, head):
+    m = len(head)
+    while m and head[m - 1] == 2 * m + 2 * charge:
+        m -= 1
+    return charge, head[:m]
+
+
+def ref_insert(charge, head, x):
+    m = len(head)
+    n = bisect_left(head, x)
+    if x >= ref_first_tail(charge, m) or (n < m and head[n] == x):
+        return None
+    return n, ref_trim(charge - 1, head[:n] + (x,) + head[n:])
+
+
+def ref_remove(charge, head, x):
+    m = len(head)
+    k = bisect_left(head, x)
+    if k < m and head[k] == x:
+        return k + 1, ref_trim(charge + 1, head[:k] + head[k + 1:])
+    tail = ref_first_tail(charge, m)
+    if x < tail:
+        return None
+    return (x - 2 * charge) // 2, ref_trim(charge + 1, head + tuple(range(tail, x, 2)))
+
+
+def ref_shift(charge, head, steps):
+    return ref_trim(charge + steps, tuple(h + 2 * steps for h in head))
+
+
+def ref_t(i, charge, head):
+    """t_i as (sign, (charge, head)) pairs: insert i, or remove i + 1 and then i - 1."""
+    if i % 2 == 0:
+        found = [ref_insert(charge, head, i)]
+    else:
+        found = [(n - 1, key) for n, key in filter(None, (
+            ref_remove(charge, head, i + 1), ref_remove(charge, head, i - 1)))]
+    return [(-1 if n % 2 else 1, key) for n, key in filter(None, found)]
+
+
+def as_pair(s):
+    return s.charge, s.head
+
+
+def check_against_reference(s, i):
+    key = as_pair(s)
+    t = [(c, as_pair(image)) for c, image in fock._t_key(i, s)]
+    assert t == ref_t(i, *key), (key, i)
+    if i % 2 == 0:
+        for method, ref in ((s.insert, ref_insert), (s.remove, ref_remove)):
+            out = method(i)
+            assert (out and (out[0], as_pair(out[1]))) == ref(*key, i), (method.__name__, key, i)
+
+
+def test_masks_match_the_tuple_reference_on_the_sizing_sweep():
+    # energy <= 8, charge -4..4, i in -14..14: every (key, i) pair of the sizing
+    pairs = 0
+    for p in partitions_up_to(8):
+        base = ref_trim(0, tuple(2 * j - 2 * c for j, c in enumerate(dual(p), 1)))
+        assert as_pair(to_sequence(p)) == base and dual_sequence(dual(p)) == to_sequence(p), p
+        for k in range(-4, 5):
+            s = to_sequence(p).shift(k)
+            assert as_pair(s) == ref_shift(*base, k), (p, k)
+            for steps in range(-3, 4):
+                assert as_pair(s.shift(steps)) == ref_shift(*base, k + steps), (p, k, steps)
+            for i in range(-14, 15):
+                check_against_reference(s, i)
+                pairs += 1
+    assert pairs == 17487
+
+
+def test_masks_at_the_zero_two_boundary():
+    # the values -2, 0, 2, 4 sit on both sides of the boundary between P
+    # (values up to 0) and H (values from 2); t_{-1}, t_1 and t_3 each move one of them
+    for k in range(-2, 3):
+        for s in energy_basis(6, k):
+            for x in (-2, 0, 2, 4):
+                assert (x in s) == (x in s.prefix(len(s.head) + 4)), (s, x)
+            for i in range(-3, 6):
+                check_against_reference(s, i)
+
+
+def test_masks_at_the_cli_caps():
+    # |index| <= 1000 on |charge| <= 1000: masks of a thousand bits
+    for k in (1000, -1000):
+        s = ChargedSequence.vacuum(k)
+        assert as_pair(s) == (k, ()) and s.first_tail_value == 2 + 2 * k
+        for i in (-1001, -1000, -999, -1, 0, 1, 999, 1000, 1001):
+            check_against_reference(s, i)
+        for steps in (-1000, -1, 1, 1000):
+            assert as_pair(s.shift(steps)) == ref_shift(k, (), steps)
+        for x in (-2000, -1998, 1998, 2000, 2002):
+            out = s.remove(x)
+            if out:
+                image = out[1]
+                for i in (x - 1, x, x + 1):
+                    check_against_reference(image, i)

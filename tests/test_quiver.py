@@ -441,3 +441,25 @@ def test_graded_euler_check_against_the_every_label_loop():
                 want = reference_graded_euler_check(dropped, target, tr)
                 assert graded_euler_check(dropped, target, tr) is want, (res.terms, degree, pos)
     assert ("q", frozenset()) in kinds and ("df", frozenset({"limit"})) in kinds
+
+
+def test_resolutions_list_each_truncation_once(monkeypatch):
+    # the three Euler checks of a lam share its truncation, whose labels are
+    # enumerated once: 46 walks for the 46 lams, where each check walked them
+    from bosonfermion import quiver
+    from bosonfermion.suites import run_suite
+
+    listed = []
+
+    def counted(rows, size):
+        listed.append((rows, size))
+        return partitions_bounded(rows, size)
+
+    monkeypatch.setattr(quiver, "partitions_bounded", counted)
+    result = run_suite("resolutions", 6)
+    assert result.passed and result.cases == 302
+    assert len(listed) == 46
+    tr = Truncation.rows_and_size(2, 5)
+    assert list(tr.iter_labels()) == list(tr.iter_labels()) == list(partitions_bounded(2, 5))
+    with pytest.raises(ValueError):
+        Truncation.rows(2).iter_labels()
