@@ -200,7 +200,7 @@ def run_coeff(args) -> int:
     except ValueError:
         raise CliError(f"{lam1} -> {lam} -> {mu} is not a removal path") from None
     d = content(path.b2) - content(path.b1)
-    rows = co.check_path(path)
+    rows = co.check_path(path, co.corner_solutions(path.lam))
     payload = {
         "lam1": list(lam1),
         "lam": list(lam),

@@ -7,16 +7,16 @@ removable corner.  The differential between the repeated copies is the
 factorial matrix C below; it is nonsingular, with determinant given by a
 Cauchy-type closed form, and inverting it against the corner column yields
 the coefficients named a-tilde here.  C depends on the partition alone, so
-the module solves that system exactly once per partition, for all of its
-corners, and checks the resulting coefficients against the
-representation-theoretic values from :mod:`bosonfermion.symgroup`.
+one elimination serves all of its corners; the ``bfhcl`` sweep makes it once
+per partition lam, checks the resulting coefficients on every removal path
+through lam against the representation-theoretic values from
+:mod:`bosonfermion.symgroup`, and drops it when lam is done.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from . import symgroup
@@ -27,15 +27,16 @@ from .partitions import (
     as_partition,
     content,
     dual,
+    ind_set,
     lambda_t,
     part,
+    partitions_of,
     removable_corners,
     remove_box,
     res_set,
     to_sequence,
 )
 from .ratmat import RationalMatrix, format_fraction
-from .symgroup import NU_BRANCH
 
 
 def inv_factorial(s: int) -> Fraction:
@@ -250,8 +251,7 @@ def _g_vectors(lam: Partition, anchors, k: int) -> list[list[Fraction]]:
     return [solutions.column(c) for c in range(len(anchors))]
 
 
-@lru_cache(maxsize=None)
-def _corner_solutions(lam: Partition) -> dict[int, list[Fraction]]:
+def corner_solutions(lam: Partition) -> dict[int, list[Fraction]]:
     """The chain-map solution of every corner of lam, keyed by its window index, from one elimination.
 
     The window lam_1 + 1 holds the column j0 of every box addable to lam, so
@@ -270,8 +270,7 @@ def g_vector(lam, lam1, copies: int | None = None) -> list[Fraction]:
     may enlarge the window past the column count; the added columns belong to
     contractible pairs of the untruncated complex and leave the lower
     components unchanged.  This is the one-corner case of the elimination
-    that ``_corner_solutions`` runs once per partition, at window lam_1 + 1,
-    for all corners of lam.
+    that ``corner_solutions`` runs at window lam_1 + 1 for all corners of lam.
     """
     lam, lam1 = as_partition(lam), as_partition(lam1)
     if lam1 not in res_set(lam):
@@ -286,59 +285,59 @@ def tilde_a(lam1, lam, mu, branch: str) -> Fraction:
     """Coefficient read off from the collapsed complex.
 
     The second branch is structurally 1; the first is the component, at the
-    column of the box added last, of lam's cached solve for the removed
-    corner (the one solve per partition that serves the whole ``bfhcl``
-    sweep).  The path and its boxes come from ``symgroup.removal_path``, box
-    geometry only; beyond that only the factorial matrix C is used: neither
-    the closed form nor the oracle of :mod:`bosonfermion.symgroup`.
+    column of the box added last, of lam's solve (``corner_solutions``) for
+    the removed corner.  The path and its boxes come from
+    ``symgroup.removal_path``, box geometry only; beyond that only the
+    factorial matrix C is used: neither the closed form nor the oracle of
+    :mod:`bosonfermion.symgroup`.
     """
-    return _tilde_a(symgroup.removal_path(lam1, lam, mu, branch), branch)
+    path = symgroup.removal_path(lam1, lam, mu, branch)
+    return _tilde_a(path, corner_solutions(path.lam))[path.branches.index(branch)]
 
 
-def _tilde_a(path: symgroup.RemovalPath, branch: str) -> Fraction:
-    if branch == NU_BRANCH:
-        return Fraction(1)
-    return _corner_solutions(path.lam)[content(path.b1) + 1][path.b2[1] - 1]
+def _tilde_a(path: symgroup.RemovalPath, solved: dict[int, list[Fraction]]) -> tuple[Fraction, ...]:
+    """One value per branch of the path, read off ``solved = corner_solutions(path.lam)``."""
+    value = solved[content(path.b1) + 1][path.b2[1] - 1]
+    return (value,) if path.nu is None else (value, Fraction(1))
 
 
-def check_path(path: symgroup.RemovalPath) -> list[dict]:
+def check_path(path: symgroup.RemovalPath, solved: dict[int, list[Fraction]]) -> list[dict]:
     """One row per branch of the path: the closed ``a``, the oracle and the solved value.
 
-    Each route's body runs on the path as given, so it is built once.  The
-    values are ``format_fraction`` strings, and ``pass`` is their exact equality.
+    Each route's body runs once on the path as given and answers for every
+    branch; ``solved`` is ``corner_solutions(path.lam)``.  The values are
+    ``format_fraction`` strings, and ``pass`` is their exact equality.
     """
-    rows = []
-    for branch in path.branches:
-        a = symgroup._a_coeff(path, branch)
-        oracle = symgroup._a_oracle(path, branch)
-        solved = _tilde_a(path, branch)
-        rows.append(
-            {
-                "branch": branch,
-                "a": format_fraction(a),
-                "a_oracle": format_fraction(oracle),
-                "a_tilde": format_fraction(solved),
-                "pass": a == oracle == solved,
-            }
-        )
-    return rows
+    routes = symgroup._a_coeff(path), symgroup._a_oracle(path), _tilde_a(path, solved)
+    return [
+        {
+            "branch": branch,
+            "a": format_fraction(a),
+            "a_oracle": format_fraction(oracle),
+            "a_tilde": format_fraction(solved_value),
+            "pass": a == oracle == solved_value,
+        }
+        for branch, a, oracle, solved_value in zip(path.branches, *routes, strict=True)
+    ]
 
 
-def verify_bf_hcl(mu) -> dict:
-    """Run ``check_path`` on every length-two removal path below mu; each row adds lam1 and lam.
+def verify_bf_hcl(n: int):
+    """Yield ``check_path``'s rows, each with its mu, lam and lam1, for every removal path with |mu| = n.
 
-    Each path is built once.  The solved side eliminates C once per
-    partition lam for the whole sweep (``_corner_solutions``), and the oracle
-    solves each path once for both branches.  Every route reads its boxes
-    from the path and nothing of the other routes.
+    One lam of size n - 1 at a time: C is eliminated once for all corners of
+    lam, that solve serves every mu in ``ind_set(lam)`` and lam1 in
+    ``res_set(lam)``, and it is dropped when lam is done.  Each path is built
+    once, and every route reads its boxes from the path and nothing of the
+    other routes.
     """
-    mu = as_partition(mu)
-    cases = []
-    for lam in sorted(res_set(mu)):
-        for lam1 in sorted(res_set(lam)):
-            for row in check_path(symgroup.removal_path(lam1, lam, mu)):
-                cases.append({"lam1": list(lam1), "lam": list(lam), **row})
-    return {"mu": list(mu), "cases": cases, "passed": all(c["pass"] for c in cases)}
+    for lam in partitions_of(n - 1):
+        if not lam:
+            continue
+        solved, below = corner_solutions(lam), sorted(res_set(lam))
+        for mu in sorted(ind_set(lam)):
+            for lam1 in below:
+                for row in check_path(symgroup.removal_path(lam1, lam, mu), solved):
+                    yield {"mu": mu, "lam": lam, "lam1": lam1, **row}
 
 
 def subclaim_identity(mu) -> bool:

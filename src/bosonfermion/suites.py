@@ -173,16 +173,10 @@ def suite_bfhcl(max_size: int) -> SuiteResult:
     golden = golden and symgroup.h_coeff((1,), (2,)) == Fraction(-1, 2)
     result.check("golden example", golden)
     coefficient_cases = 0
-    for mu in partitions_up_to(max_size):
-        if not mu:
-            continue
-        report = co.verify_bf_hcl(mu)
-        for case in report["cases"]:
+    for n in range(2, max_size + 1):
+        for row in co.verify_bf_hcl(n):
             coefficient_cases += 1
-            result.check(
-                f"mu={mu} lam={tuple(case['lam'])} lam1={tuple(case['lam1'])} {case['branch']}",
-                case["pass"],
-            )
+            result.check(f"mu={row['mu']} lam={row['lam']} lam1={row['lam1']} {row['branch']}", row["pass"])
     if not coefficient_cases:
         # a removal path needs |mu| >= 2; a sweep that checked no coefficient must not pass
         result.failures.append(f"no coefficient case up to size {max_size}")
@@ -313,13 +307,13 @@ def suite_identities(max_size: int) -> SuiteResult:
 # name -> (suite, default size, largest size ``verify`` accepts).  On a 2-vCPU
 # x86 host each cap is the largest size whose runs all took under 30 s and
 # 100 MB, with the cap and the size above it each run at least twice, since
-# one run is within the host's noise.  ``bfhcl`` at 25 took 14.0, 15.6 and
-# 16.9 s and 84 MB, and at 26 took 20.4 to 21.4 s and 104 MB in three runs,
-# interleaved with 24 and 25, so memory sets its cap; ``heisenberg`` at 41 took
-# 28.4 and 22.7 s and 22 MB, and at 42 took 30.2 and 24.5 s; ``identities`` at
-# 54 took 27.2 and 28.4 s and 17 MB, and at 55 took 29.7 and 33.8 s; runs of
-# ``tools/ladder.py --cap-from`` set the other two, each cap the smaller of two
-# runs: ``clifford`` 27 (from 26: 28 broke 30 s in the first run, 30 in the
+# one run is within the host's noise.  ``heisenberg`` at 41 took 28.4 and
+# 22.7 s and 22 MB, and at 42 took 30.2 and 24.5 s; ``identities`` at 54 took
+# 27.2 and 28.4 s and 17 MB, and at 55 took 29.7 and 33.8 s; runs of
+# ``tools/ladder.py --cap-from`` set the other three, each cap the smaller of
+# two runs: ``bfhcl`` 28 (from 25: 29 broke 30 s in both runs; 28 took 23.1
+# to 26.6 s over 12 runs and 22 MB, so time sets it),
+# ``clifford`` 27 (from 26: 28 broke 30 s in the first run, 30 in the
 # second; 27 took 14.3 to 29.4 s over 12 runs, 17 MB) and ``serre`` 136
 # (from 113 and from 133: 137 broke 30 s in the first run, 138 in the second;
 # 136 took 22.9 to 28.3 s over 12 runs, 17 MB);
@@ -327,7 +321,7 @@ def suite_identities(max_size: int) -> SuiteResult:
 SUITES = {
     "clifford": (suite_clifford, 6, 27),
     "heisenberg": (suite_heisenberg, 10, 41),
-    "bfhcl": (suite_bfhcl, 8, 25),
+    "bfhcl": (suite_bfhcl, 8, 28),
     "serre": (suite_serre, 10, 136),
     "resolutions": (suite_resolutions, 6, 6),
     "identities": (suite_identities, 12, 54),

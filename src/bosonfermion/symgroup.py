@@ -107,7 +107,6 @@ def removal_path(lam1, lam, mu, *wanted: str) -> RemovalPath:
     return path
 
 
-@lru_cache(maxsize=None)
 def _oracle_solve(lam1: Partition, c1: int, c2: int) -> tuple[Fraction, ...]:
     """Decompose s_{n-1} on the image cv + (c1, c2) of one tableau cv of lam1 over the composites.
 
@@ -134,10 +133,10 @@ def square_coeffs(lam1, lam, nu, mu) -> tuple[Fraction, Fraction]:
 
     Returns (alpha, beta) with  s . (f through lam)  =  alpha * (f through lam)
     + beta * (f through nu): the oracle's values of s_{n-1} on the two sides,
-    read on the row-major tableau of lam1, cached by (lam1, c1, c2) and shared
-    with both branches of ``a_oracle``.  It uses no closed form and nothing
-    of the collapsed complex.  A composite outside the span is a broken
-    invariant and raises RuntimeError.
+    read on the row-major tableau of lam1, the one solve both branches of
+    ``a_oracle`` read.  It uses no closed form and nothing of the collapsed
+    complex.  A composite outside the span is a broken invariant and raises
+    RuntimeError.
     """
     path = removal_path(lam1, lam, mu)
     nu = as_partition(nu)
@@ -150,25 +149,26 @@ def h_coeff(lam1, lam) -> Fraction:
     """Rescaling constant of the edge adding one box to lam1.
 
     With the new box in row t+1 and column s+1, the value is a signed ratio
-    of products over the boxes directly above and directly to the left.  It
-    is computed once per normalised edge (lam1, lam) and cached; ``a_coeff``
-    and ``a_oracle`` both read it, and ``tilde_a`` never does.
+    of products over the boxes directly above and directly to the left.
+    ``a_coeff`` and ``a_oracle`` both read it, through ``_h`` on the boxes of
+    their path, and ``tilde_a`` never does.
     """
-    return _h_coeff(as_partition(lam1), as_partition(lam))
+    lam1, lam = as_partition(lam1), as_partition(lam)
+    return _h(lam, added_box(lam1, lam))
 
 
-@lru_cache(maxsize=None)
-def _h_coeff(lam1: Partition, lam: Partition) -> Fraction:
-    row, col = added_box(lam1, lam)
-    s, t = col - 1, row - 1
+def _h(lam: Partition, box: Box) -> Fraction:
+    """``h_coeff`` of the edge that adds ``box`` and ends at lam."""
+    row, col = box
     arm = 1
-    for i in range(1, t + 1):
-        arm *= lam[i - 1] - col + t + 1 - i
-    leg = 1
-    cols = dual(lam)
-    for j in range(1, s + 1):
-        leg *= cols[j - 1] - row + s + 2 - j
-    return Fraction(-arm if s % 2 else arm, leg)
+    for i in range(1, row):
+        arm *= lam[i - 1] - col + row - i
+    leg, height = 1, len(lam)
+    for j in range(1, col):
+        while lam[height - 1] < j:  # height is the length of column j
+            height -= 1
+        leg *= height - row + col + 1 - j
+    return Fraction(arm if col % 2 else -arm, leg)
 
 
 def a_coeff(lam1, lam, mu, branch: str) -> Fraction:
@@ -177,20 +177,18 @@ def a_coeff(lam1, lam, mu, branch: str) -> Fraction:
     In the square case the nu branch is 1 and the lam branch is the h ratio
     divided by the content difference d; in the degenerate (domino) case the
     sign is +1 for a horizontal and -1 for a vertical domino.  ``_a_coeff``
-    is the body on a path already built.
+    is the body on a path already built, one value per branch.
     """
-    return _a_coeff(removal_path(lam1, lam, mu, branch), branch)
+    path = removal_path(lam1, lam, mu, branch)
+    return _a_coeff(path)[path.branches.index(branch)]
 
 
-def _a_coeff(path: RemovalPath, branch: str) -> Fraction:
-    if branch == NU_BRANCH:
-        return Fraction(1)
+def _a_coeff(path: RemovalPath) -> tuple[Fraction, ...]:
     b1, b2 = path.b1, path.b2
-    ratio = _h_coeff(path.lam, path.mu) / _h_coeff(path.lam1, path.lam)
+    ratio = _h(path.mu, b2) / _h(path.lam, b1)
     if path.nu is not None:
-        return ratio / (content(b2) - content(b1))
-    eps = 1 if b1[0] == b2[0] else -1
-    return eps * ratio
+        return ratio / (content(b2) - content(b1)), Fraction(1)
+    return (ratio if b1[0] == b2[0] else -ratio,)
 
 
 def a_closed_expanded(lam1, lam, mu) -> Fraction:
@@ -231,17 +229,16 @@ def a_oracle(lam1, lam, mu, branch: str) -> Fraction:
     result exactly over the composites, one for a domino and two for a
     square, checking that nothing falls outside them, and rescales by the h
     ratio.  Every other tableau of lam1 would give the same equations, since
-    s_{n-1} reads only the added contents.  The one decomposition is
-    cached by (lam1, c1, c2), so the two branches of a square share it.  The
-    closed forms above are never consulted.  ``_a_oracle`` is the body on a
-    path already built.
+    s_{n-1} reads only the added contents.  The closed forms above are never
+    consulted.  ``_a_oracle`` is the body on a path already built: one
+    decomposition, one value per branch.
     """
-    return _a_oracle(removal_path(lam1, lam, mu, branch), branch)
+    path = removal_path(lam1, lam, mu, branch)
+    return _a_oracle(path)[path.branches.index(branch)]
 
 
-def _a_oracle(path: RemovalPath, branch: str) -> Fraction:
+def _a_oracle(path: RemovalPath) -> tuple[Fraction, ...]:
     coeffs = _oracle_solve(path.lam1, content(path.b1), content(path.b2))
-    h_base = _h_coeff(path.lam1, path.lam)
-    if branch == LAM_BRANCH:
-        return coeffs[0] * _h_coeff(path.lam, path.mu) / h_base
-    return coeffs[1] * _h_coeff(path.nu, path.mu) / h_base
+    h_base = _h(path.lam, path.b1)
+    # the box each composite adds last: b2 on lam -> mu, b1 on nu -> mu
+    return tuple(x * _h(path.mu, box) / h_base for x, box in zip(coeffs, (path.b2, path.b1)))

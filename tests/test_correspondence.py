@@ -16,7 +16,7 @@ from bosonfermion.correspondence import (
     verify_bf_hcl,
     wtq_tensor,
 )
-from bosonfermion.partitions import added_box, dual, partitions_up_to, res_set
+from bosonfermion.partitions import added_box, dual, partitions_of, partitions_up_to, res_set
 from bosonfermion.ratmat import RationalMatrix, format_fraction
 from bosonfermion.suites import run_suite
 from bosonfermion.symgroup import LAM_BRANCH, NU_BRANCH
@@ -145,12 +145,16 @@ def test_tilde_a_examples():
         tilde_a((1,), (2, 1), (2, 2), LAM_BRANCH)
 
 
+def sweep_rows(mu):
+    """The rows of the level sweep |mu| whose path ends at mu."""
+    return [row for row in verify_bf_hcl(sum(mu)) if row["mu"] == mu]
+
+
 def test_verify_small():
-    report = verify_bf_hcl((2, 1))
-    assert report["passed"]
-    assert {c["branch"] for c in report["cases"]} == {LAM_BRANCH, NU_BRANCH}
-    trivial = verify_bf_hcl((1,))
-    assert trivial["passed"] and trivial["cases"] == []
+    rows = sweep_rows((2, 1))
+    assert rows and all(row["pass"] for row in rows)
+    assert {c["branch"] for c in rows} == {LAM_BRANCH, NU_BRANCH}
+    assert sweep_rows((1,)) == []
 
 
 def test_bfhcl_suite_at_size_ten():
@@ -173,10 +177,10 @@ def removal_paths(mu):
 
 
 def test_verify_solves_each_system_once(monkeypatch):
-    from bosonfermion import correspondence, symgroup
+    from bosonfermion import symgroup
 
-    calls = {"dense": 0, "path": 0}
-    dense, path = RationalMatrix.solve, symgroup.removal_path
+    calls = {"dense": 0, "path": 0, "oracle": 0}
+    dense, path, oracle = RationalMatrix.solve, symgroup.removal_path, symgroup._oracle_solve
 
     def counted_dense(self, rhs):
         calls["dense"] += 1
@@ -186,26 +190,45 @@ def test_verify_solves_each_system_once(monkeypatch):
         calls["path"] += 1
         return path(*args)
 
+    def counted_oracle(*args):
+        calls["oracle"] += 1
+        return oracle(*args)
+
     monkeypatch.setattr(RationalMatrix, "solve", counted_dense)
     monkeypatch.setattr(symgroup, "removal_path", counted_path)
-    symgroup._oracle_solve.cache_clear()
-    correspondence._corner_solutions.cache_clear()
+    monkeypatch.setattr(symgroup, "_oracle_solve", counted_oracle)
     paths, lams = 0, set()
-    for mu in partitions_up_to(7):
+    for n in range(8):
+        level = [(lam1, lam, mu) for mu in partitions_of(n) for lam1, lam in removal_paths(mu)]
         before = calls["path"]
-        assert verify_bf_hcl(mu)["passed"], mu
-        # one removal_path call per path below mu, shared by the three routes
-        assert calls["path"] - before == len(list(removal_paths(mu))), mu
-        paths += len(list(removal_paths(mu)))
-        lams.update(lam for lam in res_set(mu) if res_set(lam))
+        assert all(row["pass"] for row in verify_bf_hcl(n)), n
+        # one removal_path call per path of the level, shared by the three routes
+        assert calls["path"] - before == len(level), n
+        paths += len(level)
+        lams.update(lam for _, lam, _ in level)
     # one oracle solve per removal path (square or domino), and one
     # elimination of C per partition lam with a corner, for the whole sweep
-    assert symgroup._oracle_solve.cache_info().misses == paths
+    assert calls["oracle"] == paths
     assert calls["dense"] == len(lams)
 
 
+def test_level_sweep_visits_each_removal_path_once():
+    for n in range(9):
+        want = [(mu, lam, lam1) for mu in partitions_of(n) for lam1, lam in removal_paths(mu)]
+        assert len(set(want)) == len(want), n
+        branches = {}
+        for row in verify_bf_hcl(n):
+            branches.setdefault((row["mu"], row["lam"], row["lam1"]), []).append(row["branch"])
+        assert sorted(branches) == sorted(want), n
+        for mu, lam, lam1 in want:
+            b1, b2 = added_box(lam1, lam), added_box(lam, mu)
+            square = b1[0] != b2[0] and b1[1] != b2[1]
+            expected = [LAM_BRANCH, NU_BRANCH] if square else [LAM_BRANCH]
+            assert branches[mu, lam, lam1] == expected, (lam1, lam, mu)
+
+
 def test_corner_solution_window_covers_the_edge_window():
-    # the cached solve uses lam_1 + 1 copies; the first lam_1 components
+    # the solve per lam uses lam_1 + 1 copies; the first lam_1 components
     # are those of the column-count window
     for lam in partitions_up_to(10):
         for lam1 in res_set(lam):
@@ -214,8 +237,7 @@ def test_corner_solution_window_covers_the_edge_window():
 
 def test_tilde_a_is_one_corner_of_the_shared_solve():
     for mu in partitions_up_to(7):
-        cases = verify_bf_hcl(mu)["cases"]
-        report = {(tuple(c["lam1"]), tuple(c["lam"]), c["branch"]): c for c in cases}
+        report = {(c["lam1"], c["lam"], c["branch"]): c for c in sweep_rows(mu)}
         for lam1, lam in removal_paths(mu):
             j0 = added_box(lam, mu)[1]
             copies = max(len(dual(lam)), j0)
@@ -234,4 +256,4 @@ def test_sweep_reads_boxes_from_the_removal_path(monkeypatch):
 
     monkeypatch.setattr(correspondence, "added_box", unreachable)
     for mu in partitions_up_to(7):
-        assert verify_bf_hcl(mu)["passed"], mu
+        assert all(row["pass"] for row in sweep_rows(mu)), mu

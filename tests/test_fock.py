@@ -275,6 +275,19 @@ def test_s_bar_window_matches_the_full_window():
             assert s_bar_n(n, basis(key)) == s_bar_full_window(n, basis(key)), (key, n)
 
 
+def test_s_bar_telescopes_to_one_creation():
+    # t_{2i+1} = psi*_{i+1} + psi*_i, so the alternating sum over i <= n keeps
+    # (-1)^n psi*_{n+1} alone: an independent closed form of s_bar_n
+    cases = 0
+    for k in range(-2, 3):
+        for key in energy_basis(6, k):
+            for n in range(6):
+                v = basis(key)
+                assert s_bar_n(n, v) == tau((-1) ** n * apply_psi_star(n + 1, v), -1), (key, n)
+                cases += 1
+    assert cases == 900
+
+
 def test_s_n_linearity_and_zero():
     assert s_n_op(2, FockVector.zero()).is_zero()
     v = basis(to_sequence((1,))) + 2 * basis(to_sequence((2,)))

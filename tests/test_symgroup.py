@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -297,14 +299,12 @@ def test_h_examples():
 
 def test_h_coeff_cache_returns_the_uncached_value():
     edges = [(lam1, lam) for lam1 in partitions_up_to(7) for lam in ind_set(lam1)]
-    symgroup._h_coeff.cache_clear()
     cold = [h_coeff(lam1, lam) for lam1, lam in edges]
     warm = [h_coeff(lam1, lam) for lam1, lam in edges]
     assert warm == cold
-    assert symgroup._h_coeff.cache_info().hits == len(edges)
     # input that is not normalised shares the normalised edge
     assert h_coeff((2, 1, 0), [3, 1]) == h_coeff([2, 1], (3, 1, 0, 0)) == h_coeff((2, 1), (3, 1))
-    # lru_cache does not cache the exception, so every call raises
+    # every call on a non-edge raises
     for _ in range(2):
         with pytest.raises(ValueError):
             h_coeff((2, 1, 0), (2, 1))
@@ -459,7 +459,6 @@ def added_contents(lam1, lam, mu):
 
 
 def test_one_tableau_oracle_matches_the_every_tableau_reference():
-    symgroup._oracle_solve.cache_clear()
     checked = 0
     for lam1, lam, mu in paths(8):
         c1, c2 = added_contents(lam1, lam, mu)
@@ -484,7 +483,6 @@ def test_oracle_reads_no_tableaux_above_lam1(monkeypatch):
         return contents(shape)
 
     monkeypatch.setitem(globals(), "tableaux", recorded)
-    symgroup._oracle_solve.cache_clear()
     lam1, lam, mu = (4, 3, 2, 1), (4, 3, 3, 1), (4, 3, 3, 2)
     for branch in (LAM_BRANCH, NU_BRANCH):
         assert a_oracle(lam1, lam, mu, branch) == a_coeff(lam1, lam, mu, branch)
@@ -525,7 +523,6 @@ def test_oracle_checks_the_last_tableau(monkeypatch):
         return (image, diagonal), (symgroup._swapped(cv, i - 1), off_diagonal)
 
     monkeypatch.setattr(symgroup, "_act", swaps_the_wrong_pair_on_the_row_major)
-    symgroup._oracle_solve.cache_clear()
     with pytest.raises(RuntimeError, match="swapped composite"):
         a_oracle(lam1, lam, mu, LAM_BRANCH)
     with pytest.raises(RuntimeError, match="swapped composite"):
@@ -545,24 +542,29 @@ def test_oracle_acts_on_every_tableau_of_lam1(monkeypatch):
         return act(i, cv)
 
     monkeypatch.setattr(symgroup, "_act", recorded)
-    symgroup._oracle_solve.cache_clear()
     assert a_oracle(lam1, lam, mu, LAM_BRANCH) == a_coeff(lam1, lam, mu, LAM_BRANCH)
     assert seen == [row_filling(lam1)]
     seen.clear()
     c1, c2 = added_contents(lam1, lam, mu)
-    assert reference_oracle_solve(lam1, c1, c2) == symgroup._oracle_solve(lam1, c1, c2)
+    want = reference_oracle_solve(lam1, c1, c2)
     assert set(seen) == set(tableaux(lam1))
     assert len(seen) == len(tableaux(lam1)) == hook_count(lam1)
+    assert want == symgroup._oracle_solve(lam1, c1, c2)
 
 
-def test_bfhcl_sweep_reads_the_tableau_cache():
-    # the oracle's one cache is its solve, shared by the two branches of a
-    # square; there is no tableau cache left for the benchmark trace to read
-    symgroup._oracle_solve.cache_clear()
-    assert run_suite("bfhcl", 5).passed
-    info = symgroup._oracle_solve.cache_info()
-    assert info.hits > 0 and info.misses > 0
-    assert not hasattr(symgroup, "tableaux")
+def test_nothing_outlives_a_bfhcl_sweep():
+    # the sweep holds one lam's solve at a time and keeps no coefficient
+    # cache, so a larger sweep leaves nothing behind once it returns
+    assert run_suite("bfhcl", 3).passed
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert run_suite("bfhcl", 12).passed
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 def test_expanded_form_on_its_configuration():
