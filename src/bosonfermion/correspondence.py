@@ -345,11 +345,6 @@ def subclaim_identity(mu) -> bool:
     mu = as_partition(mu)
     if not mu:
         raise ValueError("the identity needs a nonempty partition")
-    return _subclaim_identity(mu)
-
-
-def _subclaim_identity(mu: Partition) -> bool:
-    """``subclaim_identity`` for a nonempty partition that is normalised already."""
     t = len(mu)
     s = mu[0]
     cols = dual(mu)

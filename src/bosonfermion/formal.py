@@ -8,16 +8,15 @@ sums, signs and zero tests run on ``int``.  Every reader (``items``,
 sees a ``Fraction``.  Terms are combined by one accumulation routine,
 ``_accumulate``.
 
-Every public entry point checks its keys: a key given to the constructor, or
-made by the map given to ``apply`` or ``map_keys``, first passes the subclass
-hook ``_check_key``.  ``__add__`` and ``linear_combination`` combine only
-vectors of one type, whose keys have passed it already.  The operators in
-``schur`` and ``fock`` use the private ``_apply``, which skips the hook: their
-images come only from primitives that return normalised keys (``res_set``,
-``ind_set``, the strip enumerators, ``partitions.clifford_t`` and
-``ChargedSequence.remove`` and ``shift``).  In ``_apply`` an image coefficient
-of 1 keeps the stored coefficient and one of -1 negates it; only other values
-multiply.
+The constructor, which ``basis`` and ``zero`` call, is the one checked entry
+point: every key given to it first passes the subclass hook ``_check_key``.
+``__add__`` and ``linear_combination`` combine only vectors of one type,
+whose keys have passed it already.  The operators in ``schur`` and ``fock``
+use the private ``_apply``, which skips the hook: their images come only
+from primitives that return normalised keys (``res_set``, ``ind_set``, the
+strip enumerators, ``partitions.clifford_t`` and ``ChargedSequence.remove``
+and ``shift``).  In ``_apply`` an image coefficient of 1 keeps the stored
+coefficient and one of -1 negates it; only other values multiply.
 """
 
 from __future__ import annotations
@@ -165,10 +164,11 @@ class FormalSum:
         return self._wrap({k: _exact(c * v) for k, v in self._terms.items()} if c else {})
 
     def _apply(self, action):
-        """``apply`` for an ``action`` whose image keys are basis keys already.
+        """Linear extension of a basis-level map whose image keys are basis keys already.
 
-        No image key passes ``_check_key``; only operators whose images come
-        from normalising primitives call this.
+        ``action(key)`` returns an iterable of (coefficient, key) pairs, or
+        None for the zero vector.  No image key passes ``_check_key``; only
+        operators whose images come from normalising primitives call this.
         """
         data: dict = {}
         for key, coeff in self._terms.items():
@@ -178,18 +178,6 @@ class FormalSum:
                     term = coeff if c == 1 else -coeff if c == -1 else coeff * c
                     _accumulate(data, new_key, term)
         return self._wrap(data)
-
-    def apply(self, action):
-        """Linear extension of a basis-level map.
-
-        ``action(key)`` returns an iterable of (coefficient, key) pairs, or
-        None for the zero vector.  Every image key passes ``_check_key``.
-        """
-        check = self._check_key
-        return self._apply(lambda key: [(c, check(k)) for c, k in action(key) or ()])
-
-    def map_keys(self, fn):
-        return self.apply(lambda key: [(1, fn(key))])
 
     def to_text(self, display, reverse: bool = False) -> str:
         """Signed sum in key order, e.g. ``(2) - 1/2*(1,1)``; unit coefficients are omitted."""

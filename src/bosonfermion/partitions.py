@@ -6,7 +6,7 @@ increasing sequence of even integers that eventually agrees with the shifted
 vacuum tail ``x_i = 2i + 2k``; ``k`` is its charge.  It is stored as two bit
 masks against the charge-0 vacuum {2, 4, 6, ...}, the present values up to 0
 and the absent values from 2, so the Clifford generators (:func:`clifford_t`)
-and ``insert``, ``remove`` and ``shift`` act by bit tests and bit flips, with
+and ``remove`` and ``shift`` act by bit tests and bit flips, with
 one ``bit_count`` of the entries below a value for its fermionic sign.
 """
 
@@ -355,17 +355,6 @@ class ChargedSequence(tuple):
         p, h = self
         return x % 2 == 0 and (bool(p >> (-x // 2) & 1) if x <= 0 else not h >> (x // 2 - 1) & 1)
 
-    def insert(self, x: int) -> tuple[int, "ChargedSequence"] | None:
-        """Insert x, returning (number of entries below x, new sequence).
-
-        Returns None when x is already present.  The new sequence has charge
-        one lower.
-        """
-        if x % 2 != 0:
-            raise ValueError(f"cannot insert odd value {x}")
-        present, below, masks = _toggle(self, x)
-        return None if present else (below, _make(ChargedSequence, masks))
-
     def remove(self, x: int) -> tuple[int, "ChargedSequence"] | None:
         """Remove x, returning (1-based position of x, new sequence).
 
@@ -373,8 +362,17 @@ class ChargedSequence(tuple):
         """
         if x % 2 != 0:
             return None
-        present, below, masks = _toggle(self, x)
-        return (below + 1, _make(ChargedSequence, masks)) if present else None
+        p, h = self
+        if x <= 0:  # P's bit -x/2
+            b = -x // 2
+            if not p >> b & 1:
+                return None
+            return (p >> b + 1).bit_count() + 1, _make(ChargedSequence, (p ^ 1 << b, h))
+        b = x // 2 - 1  # H's bit x/2 - 1
+        if h >> b & 1:
+            return None
+        below = p.bit_count() + b - (h & (1 << b) - 1).bit_count()
+        return below + 1, _make(ChargedSequence, (p, h | 1 << b))
 
     def shift(self, steps: int) -> "ChargedSequence":
         """Add 2*steps to every entry; charge moves by steps."""
@@ -405,16 +403,6 @@ def _flags(x: int) -> bytes:
     return format(x, "b")[::-1].encode().translate(_DIGITS)
 
 
-def _toggle(s: ChargedSequence, x: int):
-    """(x present, entries below x, the masks with x toggled) for an even x."""
-    p, h = s
-    if x <= 0:
-        b = -x // 2
-        return p >> b & 1, (p >> b + 1).bit_count(), (p ^ 1 << b, h)
-    b = x // 2 - 1
-    return not h >> b & 1, p.bit_count() + b - (h & (1 << b) - 1).bit_count(), (p, h ^ 1 << b)
-
-
 def _raise_masks(p: int, h: int, steps: int) -> tuple[int, int]:
     """The masks after adding 2 * steps > 0 to every value: -2b moves to H's bit steps - 1 - b."""
     crossing = ~p & (1 << steps) - 1
@@ -426,8 +414,8 @@ def clifford_t(i: int, s: ChargedSequence) -> list:
 
     An even i inserts the value i; an odd i removes i + 1 and then i - 1.
     Each sign is -1 to the number of entries below the value that moves.  The
-    bit logic of ``_toggle`` is written out here: a call per value cost the
-    ``clifford`` sweep about 20 %.
+    bit logic of ``ChargedSequence.remove`` is written out here: a call per
+    value cost the ``clifford`` sweep about 20 %.
     """
     p, h = s
     if not i & 1:
@@ -483,23 +471,3 @@ def from_sequence(s: ChargedSequence) -> Partition:
         raise ValueError(f"sequence has charge {s.charge}, expected 0")
     cols = tuple(j - x // 2 for j, x in enumerate(s.head, start=1))
     return dual(as_partition(cols))
-
-
-def energy(values, k: int | None = None) -> int:
-    """Half the total deviation from the charge-k vacuum.
-
-    ``values`` is either a ChargedSequence (k optional, must agree when given)
-    or the explicit leading values of a sequence whose remaining entries are
-    the charge-k tail.  Repeated values are allowed.
-    """
-    if isinstance(values, ChargedSequence):
-        if k is not None and k != values.charge:
-            raise ValueError(f"charge mismatch: {k} != {values.charge}")
-        return values.energy
-    if k is None:
-        raise ValueError("charge is required for explicit value lists")
-    vals = list(values)
-    total = sum(2 * k + 2 * (i + 1) - x for i, x in enumerate(vals))
-    if total % 2 != 0:
-        raise ValueError(f"odd total deviation for {vals}")
-    return total // 2

@@ -6,8 +6,8 @@ product of two basis elements is the joined element when the middle labels
 match and the outer pair still interlaces, and zero otherwise.  The sources
 of a projective, and of the twisted module, are read off the one interlacing
 enumerator :func:`bosonfermion.partitions.interlacing` that also lists the
-Schur strips.  Truncations bound the number of rows, of columns, or of rows
-and total size at once.
+Schur strips.  A truncation bounds the number of rows and the total size at
+once.
 The module also builds the finite projective resolutions used by the
 Serre-twist computations and checks them by graded Euler characteristics and
 by exactness of their sparse boundaries, with ranks from ``ratmat.rank``.
@@ -33,7 +33,6 @@ from .partitions import (
     part,
     partitions_bounded,
     remove_horizontal_strips,
-    size,
     union_columns,
 )
 from .ratmat import rank
@@ -44,8 +43,9 @@ def exists_hom(lam: Partition, mu: Partition) -> bool:
 
     Both arguments must already be normalised partitions (no trailing zeros,
     as :func:`as_partition` returns them); callers holding raw input normalise
-    it once at their boundary, as :func:`arrow` does.  The rows then compare
-    directly: lam has len(mu) or len(mu) - 1 rows, each between two of mu.
+    it once at their boundary, as :func:`df_tensor_dims` does.  The rows then
+    compare directly: lam has len(mu) or len(mu) - 1 rows, each between two
+    of mu.
     """
     return len(mu) - 1 <= len(lam) <= len(mu) and all(
         a >= b >= c for a, b, c in zip(mu, lam, mu[1:] + (0,))
@@ -77,10 +77,6 @@ class FElement(FormalSum):
         )
 
 
-def arrow(source, target) -> ArrowElement:
-    return ArrowElement(as_partition(source), as_partition(target))
-
-
 def multiply(a: ArrowElement, b: ArrowElement) -> FElement:
     """Product of two basis elements; zero on mismatch or broken interlacing."""
     if a.target != b.source or not exists_hom(a.source, b.target):
@@ -90,50 +86,25 @@ def multiply(a: ArrowElement, b: ArrowElement) -> FElement:
 
 @dataclass(frozen=True)
 class Truncation:
-    kind: str  # "none" | "rows" | "columns" | "rows_size"
-    n: int = 0
-    m: int = 0
+    """The finite truncation: partitions of at most n rows and at most m boxes."""
 
-    @classmethod
-    def none(cls):
-        return cls("none")
+    n: int
+    m: int
 
-    @classmethod
-    def rows(cls, n: int):
-        return cls("rows", n)
+    def admits(self, p: Partition) -> bool:
+        """True when p has at most n rows and at most m boxes.
 
-    @classmethod
-    def columns(cls, n: int):
-        return cls("columns", n)
-
-    @classmethod
-    def rows_and_size(cls, n: int, m: int):
-        return cls("rows_size", n, m)
-
-    def admits(self, p) -> bool:
-        p = as_partition(p)
-        if self.kind == "none":
-            return True
-        if self.kind == "rows":
-            return len(p) <= self.n
-        if self.kind == "columns":
-            return (p[0] if p else 0) <= self.n
-        if self.kind == "rows_size":
-            return len(p) <= self.n and size(p) <= self.m
-        raise ValueError(f"unknown truncation kind {self.kind!r}")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "rows_size"
+        p must already be normalised, as :func:`as_partition` returns it; the
+        callers here pass labels they normalised or built in normal form.
+        """
+        return len(p) <= self.n and sum(p) <= self.m
 
     def iter_labels(self):
-        """The labels of the finite truncation, normalised, enumerated once per truncation."""
+        """The labels of the truncation, normalised, enumerated once per truncation."""
         return iter(self._labels)
 
     @cached_property
     def _labels(self) -> tuple:
-        if not self.is_finite:
-            raise ValueError("only the rows-and-size truncation is finite")
         return tuple(partitions_bounded(self.n, self.m))
 
 
@@ -148,7 +119,7 @@ def projective_basis(lam, tr: Truncation) -> list[ArrowElement]:
 def q_module_basis(lam, n: int, m: int) -> list[ArrowElement]:
     """Basis of the twisted module: column-augmented sources over an admitted core."""
     lam = as_partition(lam)
-    tr = Truncation.rows_and_size(n, m)
+    tr = Truncation(n, m)
     if not tr.admits(lam):
         raise ValueError(f"{lam} is not in the rows<={n}, size<={m} truncation")
     lifted = union_columns(lam, n)
@@ -317,13 +288,11 @@ def resolution_simple(lam, n: int) -> Resolution:
 def graded_euler_check(res: Resolution, target, tr: Truncation) -> bool:
     """Alternating multiplicity count against a target dimension function.
 
-    For every label admitted by the (finite) truncation, the signed number of
+    For every label admitted by the truncation, the signed number of
     basis vectors of that label across the complex must equal the target.
     Each projective adds its sign at the labels ``interlacing`` lists for it,
     a limit label's above its tail, one size at a time up to ``tr.m``.
     """
-    if not tr.is_finite:
-        raise ValueError("graded Euler check needs a finite truncation")
     totals: dict = {}
     for degree, labels in res.terms:
         sign = -1 if degree % 2 else 1

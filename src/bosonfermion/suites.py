@@ -230,7 +230,7 @@ def suite_resolutions(max_size: int) -> SuiteResult:
     for n in (1, 2, 3):
         for lam in partitions_bounded(n, cap):
             m = sum(lam) + 2 * n + 2
-            tr = quiver.Truncation.rows_and_size(n, m)
+            tr = quiver.Truncation(n, m)
             res = quiver.resolution_q(lam, n)
             result.check(f"q rank n={n} lam={lam}", quiver.rank_exactness(res, tr))
             result.check(
@@ -278,7 +278,7 @@ def suite_identities(max_size: int) -> SuiteResult:
         result.check(f"cauchy trial={trial}", co.cauchy_det(a, b) == direct)
     for mu in partitions_up_to(max(max_size, 12)):
         if mu:
-            result.check(f"factorial identity mu={mu}", co._subclaim_identity(mu))
+            result.check(f"factorial identity mu={mu}", co.subclaim_identity(mu))
     for lam in partitions_up_to(min(max_size, 8)):
         k = lam[0] if lam else 1
         c = co.matrix_c(lam, k)

@@ -128,23 +128,6 @@ def _oracle_solve(lam1: Partition, c1: int, c2: int) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def square_coeffs(lam1, lam, nu, mu) -> tuple[Fraction, Fraction]:
-    """Decompose the swapped composite inclusion over the two sides of a square.
-
-    Returns (alpha, beta) with  s . (f through lam)  =  alpha * (f through lam)
-    + beta * (f through nu): the oracle's values of s_{n-1} on the two sides,
-    read on the row-major tableau of lam1, the one solve both branches of
-    ``a_oracle`` read.  It uses no closed form and nothing of the collapsed
-    complex.  A composite outside the span is a broken invariant and raises
-    RuntimeError.
-    """
-    path = removal_path(lam1, lam, mu)
-    nu = as_partition(nu)
-    if nu != path.nu:
-        raise ValueError(f"{path.lam1} -> {path.lam},{nu} -> {path.mu} is not a square")
-    return _oracle_solve(path.lam1, content(path.b1), content(path.b2))
-
-
 def h_coeff(lam1, lam) -> Fraction:
     """Rescaling constant of the edge adding one box to lam1.
 

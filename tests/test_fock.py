@@ -266,7 +266,7 @@ def s_bar_full_window(n, v):
             for c, s in fock._t_key(2 * i + 1, key)
         ]
 
-    return tau(v.apply(images), -1)
+    return tau(v._apply(images), -1)
 
 
 def test_s_bar_window_matches_the_full_window():
@@ -279,13 +279,13 @@ def test_s_bar_telescopes_to_one_creation():
     # t_{2i+1} = psi*_{i+1} + psi*_i, so the alternating sum over i <= n keeps
     # (-1)^n psi*_{n+1} alone: an independent closed form of s_bar_n
     cases = 0
-    for k in range(-2, 3):
-        for key in energy_basis(6, k):
-            for n in range(6):
+    for k in range(-3, 4):
+        for key in energy_basis(7, k):
+            for n in range(8):
                 v = basis(key)
                 assert s_bar_n(n, v) == tau((-1) ** n * apply_psi_star(n + 1, v), -1), (key, n)
                 cases += 1
-    assert cases == 900
+    assert cases == 2520
 
 
 def test_s_n_linearity_and_zero():

@@ -27,12 +27,11 @@ def test_int_coefficients_are_stored_as_fractions():
 
 def test_apply_stores_fractions():
     v = FormalSum([("a", 1), ("b", Fraction(1, 2))])
-    out = v.apply(lambda k: [(1, k + "1"), (-2, k + "2"), (3, "c")])
+    out = v._apply(lambda k: [(1, k + "1"), (-2, k + "2"), (3, "c")])
     assert all(type(c) is Fraction for c in coefficients(out))
     assert dict(out.items()) == {
         "a1": 1, "a2": -2, "b1": Fraction(1, 2), "b2": -1, "c": Fraction(9, 2)
     }
-    assert all(type(c) is Fraction for c in coefficients(v.map_keys(str.upper)))
 
 
 def test_cancelled_terms_leave_no_key():
@@ -41,10 +40,10 @@ def test_cancelled_terms_leave_no_key():
     assert FormalSum([("a", 0)]).is_zero()
     # a cancelled key can come back
     assert dict(FormalSum([("a", 1), ("a", -1), ("a", 5)]).items()) == {"a": 5}
-    w = FormalSum([("a", 1), ("b", 1)]).apply(lambda k: [(1, "x"), (1 if k == "a" else -1, "y")])
+    w = FormalSum([("a", 1), ("b", 1)])._apply(lambda k: [(1, "x"), (1 if k == "a" else -1, "y")])
     assert dict(w.items()) == {"x": 2}
-    assert FormalSum([("a", 1)]).apply(lambda k: [(1, "z"), (-1, "z")]).is_zero()
-    assert FormalSum([("a", 1), ("b", -1)]).map_keys(lambda k: "same").is_zero()
+    assert FormalSum([("a", 1)])._apply(lambda k: [(1, "z"), (-1, "z")]).is_zero()
+    assert FormalSum([("a", 1), ("b", -1)])._apply(lambda k: [(1, "same")]).is_zero()
     assert (FormalSum([("a", 1)]) + FormalSum([("a", -1)])).is_zero()
 
 
@@ -59,32 +58,26 @@ def test_linear_combination():
 
 
 def test_fock_keys_checked_on_every_path():
-    v = FockVector.basis(ChargedSequence.vacuum(0))
     with pytest.raises(TypeError):
         FockVector([((1, 2), 1)])
     with pytest.raises(TypeError):
-        v.apply(lambda key: [(1, (2, 1))])
-    with pytest.raises(TypeError):
-        v.map_keys(lambda key: key.charge)
-    assert v.apply(lambda key: [(1, key.shift(1))]) == FockVector.basis(ChargedSequence.vacuum(1))
+        FockVector.basis(0)
+    assert FockVector.basis(ChargedSequence.vacuum(0)).coefficient(ChargedSequence.vacuum(0)) == 1
 
 
 def test_schur_keys_normalised_and_checked_on_every_path():
     assert dict(SchurVector([((2, 1, 0), 1), ([2, 1], 1)]).items()) == {(2, 1): 2}
     with pytest.raises(ValueError):
         SchurVector([((1, 2), 1)])
-    v = SchurVector.basis((2,))
-    out = v.apply(lambda p: [(1, list(p) + [0, 0])])
+    out = SchurVector.basis([2, 0, 0])
     assert dict(out.items()) == {(2,): 1}
     assert all(type(k) is tuple for k in out.support)
     with pytest.raises(ValueError):
-        v.apply(lambda p: [(1, (1, 2))])
-    with pytest.raises(ValueError):
-        v.map_keys(lambda p: (0, 1))
+        SchurVector.basis((0, 1))
 
 
 def private_and_checked(op, *args):
-    """``op(*args)``, and the same call with its one ``_apply`` run through ``apply``."""
+    """``op(*args)``, and the images of its one ``_apply`` passed through the checked constructor."""
     calls = []
     unchecked = FormalSum._apply
 
@@ -97,7 +90,8 @@ def private_and_checked(op, *args):
         out = op(*args)
     assert len(calls) == 1, op.__name__
     vector, action = calls[0]
-    return out, vector.apply(action)
+    images = ((new, coeff * c) for key, coeff in vector.items() for c, new in action(key) or ())
+    return out, type(vector)(images)
 
 
 def test_operators_build_only_keys_that_pass_the_check():
@@ -120,7 +114,7 @@ def test_operators_build_only_keys_that_pass_the_check():
 
 def test_eq_and_hash_agree_across_paths():
     built = SchurVector([((2,), 3), ((1, 1), -1)])
-    applied = SchurVector.basis((1,)).apply(lambda p: [(3, (2,)), (-1, (1, 1))])
+    applied = SchurVector.basis((1,))._apply(lambda p: [(3, (2,)), (-1, (1, 1))])
     summed = 3 * SchurVector.basis((2,)) - SchurVector.basis((1, 1))
     combined = SchurVector.linear_combination(
         [(3, SchurVector.basis((2,))), (-1, SchurVector.basis((1, 1)))]
@@ -221,7 +215,6 @@ def test_every_construction_path_matches_the_fraction_reference():
         w, ref_w = FormalSum(other), reference(other)
         assert_matches(u, ref_u)
         action = random_action(rng)
-        assert_matches(u.apply(action), reference_apply(ref_u, action))
         assert_matches(u._apply(action), reference_apply(ref_u, action))
         assert_matches(u + w, reference(list(ref_u._terms.items()) + list(ref_w._terms.items())))
         assert_matches(u - w, reference(

@@ -15,9 +15,9 @@ from bosonfermion.partitions import (
     add_vertical_strips,
     added_box,
     as_partition,
+    clifford_t,
     dual,
     dual_sequence,
-    energy,
     from_sequence,
     ind_set,
     interlacing,
@@ -189,14 +189,14 @@ def test_sequence_round_trip_and_energy():
     for p in partitions_up_to(12):
         s = to_sequence(p)
         assert from_sequence(s) == p
-        assert energy(s) == sum(p)
+        assert s.energy == sum(p)
         assert s.charge == 0
 
 
 def test_energy_examples():
-    assert energy(ChargedSequence.vacuum(0)) == 0
-    assert energy(to_sequence((2,)), 0) == 2
-    assert energy([2, 2], 0) == 1
+    assert ChargedSequence.vacuum(0).energy == 0
+    assert to_sequence((2,)).energy == 2
+    assert ChargedSequence.of(0, (2, 4)).energy == 0 and ChargedSequence.of(-1, (-2,)).energy == 1
 
 
 def test_sequence_contains_and_positions():
@@ -207,9 +207,10 @@ def test_sequence_contains_and_positions():
 
 
 def test_insert_remove_inverse():
+    # insertion is t_i at an even index i
     s = to_sequence((2, 1))
-    n, bigger = s.insert(0)
-    assert n == 1 and 0 in bigger and bigger.charge == -1
+    [(sign, bigger)] = clifford_t(0, s)
+    assert sign == -1 and 0 in bigger and bigger.charge == -1
     pos, back = bigger.remove(0)
     assert pos == 2 and back == s
 
@@ -226,17 +227,17 @@ def test_remove_from_the_tail_materialises_the_gap():
 
 def test_insert_just_below_the_tail_trims_the_head():
     s = to_sequence((2, 1))
-    n, seq = s.insert(4)  # fills the hole below the first tail value
-    assert n == 2 and seq == ChargedSequence(-1, (-2,))
+    [(sign, seq)] = clifford_t(4, s)  # fills the hole below the first tail value
+    assert sign == 1 and seq == ChargedSequence(-1, (-2,))
     assert seq.prefix(4) == (-2, 2, 4, 6)
-    n, seq = ChargedSequence.vacuum(0).insert(0)
-    assert n == 0 and seq == ChargedSequence.vacuum(-1)
+    [(sign, seq)] = clifford_t(0, ChargedSequence.vacuum(0))
+    assert sign == 1 and seq == ChargedSequence.vacuum(-1)
 
 
 def test_insert_present_value_and_remove_absent_value():
     s = to_sequence((2, 1))
     for x in (-2, 2, 6, 8, 100):  # head, first tail value, deep in the tail
-        assert s.insert(x) is None
+        assert clifford_t(x, s) == []
     for x in (-4, 0, 4):
         assert s.remove(x) is None
 
@@ -247,7 +248,10 @@ def test_insert_remove_shift_results_are_canonical():
         for s in energy_basis(6, k):
             results = [s.shift(steps) for steps in range(-2, 3)]
             for x in range(s.value(1) - 6, s.first_tail_value + 8, 2):
-                results += [out[1] for out in (s.insert(x), s.remove(x)) if out is not None]
+                results += [seq for _, seq in clifford_t(x, s)]  # insertion at even x
+                out = s.remove(x)
+                if out is not None:
+                    results.append(out[1])
             for r in results:
                 assert type(r.head) is tuple
                 assert r == ChargedSequence(r.charge, r.head), (s, r)
@@ -314,9 +318,7 @@ def test_sequences_hash_compare_and_print_as_charge_head_pairs():
 def test_odd_values():
     s = to_sequence((2, 1))
     for x in (-3, 1, 3, 7, 101):
-        with pytest.raises(ValueError):
-            s.insert(x)
-        assert s.remove(x) is None
+        assert s.remove(x) is None and x not in s
 
 
 # -- partitions_of ---------------------------------------------------------
@@ -561,17 +563,15 @@ def test_membership_against_model(s, x):
 @settings(max_examples=200)
 @given(sequences(), queries)
 def test_insert_against_model(s, x):
-    if x % 2:
-        with pytest.raises(ValueError):
-            s.insert(x)
-        return
+    # insertion is t_i at an even index i, signed by the entries below i
+    x -= x % 2
     entries = model(s)
-    out = s.insert(x)
+    out = clifford_t(x, s)
     if x in entries:
-        assert out is None
+        assert out == []
         return
-    n, seq = out
-    assert n == sum(1 for v in entries if v < x)
+    [(sign, seq)] = out
+    assert sign == (-1) ** sum(1 for v in entries if v < x)
     assert seq.charge == s.charge - 1
     expected = sorted(entries + [x])
     assert list(seq.prefix(len(expected))) == expected
@@ -666,9 +666,8 @@ def check_against_reference(s, i):
     t = [(c, as_pair(image)) for c, image in fock._t_key(i, s)]
     assert t == ref_t(i, *key), (key, i)
     if i % 2 == 0:
-        for method, ref in ((s.insert, ref_insert), (s.remove, ref_remove)):
-            out = method(i)
-            assert (out and (out[0], as_pair(out[1]))) == ref(*key, i), (method.__name__, key, i)
+        out = s.remove(i)
+        assert (out and (out[0], as_pair(out[1]))) == ref_remove(*key, i), (key, i)
 
 
 def test_masks_match_the_tuple_reference_on_the_sizing_sweep():
