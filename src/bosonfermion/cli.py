@@ -56,8 +56,7 @@ MAX_DET_ROWS = 40
 # Largest |mu| of ``coeff``.  The oracle acts on one content vector of lam1,
 # so no route grows with the number of tableaux: the path (5,4,2,1) ->
 # (5,4,3,1) -> (5,4,3,2), |mu| = 14, takes 0.14 to 0.16 s and 17 MB, import
-# included, where acting on every tableau took 0.15 to 0.18 s and 19 MB in
-# the same rounds (2-vCPU x86 host).  The cap stays at 14, the size the
+# included (2-vCPU x86 host).  The cap stays at 14, the size the
 # ``coeff`` group of ``tools/cli_corpus.py`` pins with its over-cap call
 # (13) -> (14) -> (15).
 MAX_COEFF_SIZE = 14
@@ -71,9 +70,8 @@ MAX_RESOLVE_N = 500
 # and staircases of 14, 15 and 16 rows took 0.4, 0.7 and 1.2 s (--n 500, --json).
 # The worst input at the cap has long labels, since --n <= 500 and not this cap
 # bounds a label's length: 127 rows of 2 over 127 rows of 1 (16384 labels of
-# 254 rows, --n 500, --json) took 0.97 to 1.03 s and 87 MB and printed 9.4 MB,
-# where walking every row of lam per label took 1.11 to 1.46 s and 87 MB in
-# the same rounds (2-vCPU x86 host).
+# 254 rows, --n 500, --json) took 0.97 to 1.03 s and 87 MB and printed 9.4 MB
+# (2-vCPU x86 host).
 MAX_SIMPLE_LABELS = 16384
 # Largest first row of ``resolve --kind simple``: its vertical strips are
 # enumerated on the dual of --lam, which has lam_1 rows, and every label is
@@ -139,8 +137,8 @@ def fock_text(v: FockVector) -> str:
     return v.to_text(ChargedSequence.display)
 
 
-_FOCK_OP = re.compile(r"^(t|psi\*|psi|sbar|sn|gq|gp|tau)\s*(-?\d+)$")
-_SCHUR_OP = re.compile(r"^(p_row|p_col|q_row|q_col)[ :]?(\d+)$")
+_FOCK_OP = re.compile(r"^(t|psi\*|psi|sbar|sn|gq|gp|tau)(-?\d+)$")
+_SCHUR_OP = re.compile(r"^(p_row|p_col|q_row|q_col)(\d+)$")
 
 
 # Operator name -> (space it acts on, call on (index, vector)).  Each call
@@ -319,7 +317,7 @@ def run_verify(args) -> int:
         raise CliError(f"--max-size {args.max_size} exceeds the cap --max-size <= {cap} of suite {args.suite}")
     try:
         result = run_suite(args.suite, args.max_size)
-    except (ValueError, RuntimeError) as exc:
+    except Exception as exc:
         # the arguments were checked above, so this is a broken invariant, not bad input
         print(f"error: suite {args.suite} aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -340,7 +338,8 @@ SUBCOMMANDS = {
     "act": ("apply an operator to a basis vector", run_act, (
         ("--op", {
             "required": True,
-            "help": "t<i>, psi<j>, psi*<j>, q, p, p_row<m>, sbar<n>, sn<n>, gq<N>, gp<N>, tau<s>",
+            "help": "t<i>, psi<j>, psi*<j>, q, p, p_row<m>, p_col<m>, q_row<m>, q_col<m>, "
+                    "sbar<n>, sn<n>, gq<N>, gp<N>, tau<s>",
         }),
         ("--on", {"required": True, "help": '"(2,1)" or vac:<k> or seq:<k>:<entries>'}),
     )),
@@ -398,7 +397,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -262,23 +262,20 @@ def corner_solutions(lam: Partition) -> dict[int, list[Fraction]]:
     return dict(zip(anchors, _g_vectors(lam, anchors, lam[0] + 1)))
 
 
-def g_vector(lam, lam1, copies: int | None = None) -> list[Fraction]:
-    """Unique solution of the chain-map condition for the corner at lam1.
+def g_vector(lam, lam1) -> list[Fraction]:
+    """Unique solution of the chain-map condition for the corner at lam1, at lam_1 copies.
 
     The right-hand side carries inverse factorials measured from the corner's
-    window index; nonsingularity of C makes the solution unique.  ``copies``
-    may enlarge the window past the column count; the added columns belong to
-    contractible pairs of the untruncated complex and leave the lower
-    components unchanged.  This is the one-corner case of the elimination
-    that ``corner_solutions`` runs at window lam_1 + 1 for all corners of lam.
+    window index; nonsingularity of C makes the solution unique.  This is the
+    one-corner case of the elimination that ``corner_solutions`` runs at
+    window lam_1 + 1 for all corners of lam; the added column belongs to
+    contractible pairs of the untruncated complex and leaves the lower
+    components unchanged.
     """
     lam, lam1 = as_partition(lam), as_partition(lam1)
     if lam1 not in res_set(lam):
         raise ValueError(f"{lam1} is not obtained from {lam} by removing a corner")
-    k = lam[0] if copies is None else copies
-    if k < lam[0]:
-        raise ValueError(f"copies={copies} is smaller than the column count of {lam}")
-    return _g_vectors(lam, [content(added_box(lam1, lam)) + 1], k)[0]
+    return _g_vectors(lam, [content(added_box(lam1, lam)) + 1], lam[0])[0]
 
 
 def tilde_a(lam1, lam, mu, branch: str) -> Fraction:

@@ -72,12 +72,12 @@ class FormalSum:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms=()):
+        """The sum of ``coeff * key`` over (key, coefficient) pairs; each key passes ``_check_key``."""
         data: dict = {}
-        if terms:
-            check = self._check_key
-            for key, coeff in terms.items() if isinstance(terms, dict) else terms:
-                _accumulate(data, check(key), coeff)
+        check = self._check_key
+        for key, coeff in terms:
+            _accumulate(data, check(key), coeff)
         self._terms = data
 
     @staticmethod
@@ -93,8 +93,8 @@ class FormalSum:
         return result
 
     @classmethod
-    def basis(cls, key, coeff=1):
-        return cls([(key, coeff)])
+    def basis(cls, key):
+        return cls([(key, 1)])
 
     @classmethod
     def zero(cls):
@@ -166,17 +166,15 @@ class FormalSum:
     def _apply(self, action):
         """Linear extension of a basis-level map whose image keys are basis keys already.
 
-        ``action(key)`` returns an iterable of (coefficient, key) pairs, or
-        None for the zero vector.  No image key passes ``_check_key``; only
+        ``action(key)`` returns an iterable of (coefficient, key) pairs, empty
+        for the zero vector.  No image key passes ``_check_key``; only
         operators whose images come from normalising primitives call this.
         """
         data: dict = {}
         for key, coeff in self._terms.items():
-            images = action(key)
-            if images:
-                for c, new_key in images:
-                    term = coeff if c == 1 else -coeff if c == -1 else coeff * c
-                    _accumulate(data, new_key, term)
+            for c, new_key in action(key):
+                term = coeff if c == 1 else -coeff if c == -1 else coeff * c
+                _accumulate(data, new_key, term)
         return self._wrap(data)
 
     def to_text(self, display, reverse: bool = False) -> str:

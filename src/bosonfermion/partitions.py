@@ -171,15 +171,15 @@ def _partitions_of(n: int, rows: int, cap: int, prefix: Partition):
 
 
 def partitions_up_to(max_size: int):
-    """All partitions of size 0..max_size."""
-    for n in range(max_size + 1):
-        yield from partitions_of(n)
+    """All partitions of size 0..max_size; one of size k never has more than k rows."""
+    return partitions_bounded(max_size, max_size)
 
 
 def partitions_bounded(max_rows: int, max_size: int):
     """All partitions with at most ``max_rows`` rows and size at most ``max_size``.
 
-    In the order of :func:`partitions_up_to`, and enumerated under the row bound.
+    By size, each size in the order of :func:`partitions_of`, and enumerated
+    under the row bound.
     """
     if max_rows < 0:
         return

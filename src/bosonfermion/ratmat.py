@@ -21,12 +21,8 @@ class SingularMatrixError(ValueError):
 _ONE = Fraction(1)
 
 
-def _as_fraction(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
-
-
-def format_fraction(x: Fraction) -> str:
-    x = _as_fraction(x)
+def format_fraction(x) -> str:
+    """An ``int`` or ``Fraction`` as ``"p"`` or ``"p/q"``."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -85,30 +81,24 @@ class RationalMatrix:
         sign, scale, pivot, _ = eliminated
         return Fraction(sign * pivot, scale)
 
-    def solve(self, rhs):
-        """Solve the square system ``self @ x = rhs`` exactly.
+    def solve(self, rhs: "RationalMatrix") -> "RationalMatrix":
+        """Solve the square system ``self @ x = rhs`` exactly, one column of ``x`` per column of ``rhs``.
 
-        ``rhs`` is one right-hand side as a sequence, giving the solution as
-        a list, or several as the columns of a ``RationalMatrix``, giving the
-        matrix of solutions column by column.  Either way the rows of the
-        matrix augmented by every right-hand side go through ``_bareiss``
-        once, so the matrix is eliminated once however many systems share it,
-        and each solution component is its eliminated entry over the final
-        pivot.  A singular matrix raises ``SingularMatrixError``.
+        The rows of the matrix augmented by every right-hand side go through
+        ``_bareiss`` once, so the matrix is eliminated once however many
+        systems share it, and each solution component is its eliminated entry
+        over the final pivot.  A singular matrix raises ``SingularMatrixError``.
         """
         if self.rows != self.cols:
             raise ValueError("solve requires a square matrix")
         n = self.rows
-        several = isinstance(rhs, RationalMatrix)
-        b = rhs.data if several else [[_as_fraction(x)] for x in rhs]
-        if len(b) != n:
+        if rhs.rows != n:
             raise ValueError("rhs length mismatch")
-        eliminated = _bareiss([row + b_row for row, b_row in zip(self.data, b)], n)
+        eliminated = _bareiss([row + b_row for row, b_row in zip(self.data, rhs.data)], n)
         if eliminated is None:
             raise SingularMatrixError("singular system")
         _, _, pivot, rows = eliminated
-        solutions = [[Fraction(x, pivot) for x in row[n:]] for row in rows]
-        return RationalMatrix(solutions) if several else [row[0] for row in solutions]
+        return RationalMatrix([[Fraction(x, pivot) for x in row[n:]] for row in rows])
 
     def to_strings(self) -> list[list[str]]:
         return [[format_fraction(x) for x in row] for row in self.data]

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import pytest
 
@@ -68,6 +69,20 @@ def test_act_json(capsys):
 def test_act_parse_error(capsys):
     code, _, err = run(capsys, "act", "--op", "q", "--on", "oops")
     assert code == 2 and "error" in err
+
+
+def test_act_help_names_every_operator():
+    (flag, spec), _ = cli.SUBCOMMANDS["act"][2]
+    assert flag == "--op"
+    names = [re.sub(r"<\w+>$", "", token) for token in spec["help"].split(", ")]
+    assert sorted(names) == sorted(cli._ACT)
+
+
+@pytest.mark.parametrize("op, on", [("p_row:2", "(1)"), ("p_row 2", "(1)"), ("t 3", "vac:0")])
+def test_act_rejects_a_separator_before_the_index(capsys, op, on):
+    code, out, err = run(capsys, "act", "--op", op, "--on", on)
+    assert code == 2 and out == ""
+    assert err == f"error: unknown operator {op!r}\n"
 
 
 @pytest.mark.parametrize("op", ["t", "psi*", "gq"])
@@ -324,7 +339,7 @@ def test_internal_failure_is_not_a_usage_error(monkeypatch):
         main(["coeff", "--lam1", "(1)", "--lam", "(2)", "--mu", "(2,1)"])
 
 
-@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+@pytest.mark.parametrize("error", [ValueError, RuntimeError, KeyError, AssertionError])
 def test_verify_reports_an_aborted_suite_as_a_failure(monkeypatch, capsys, error):
     def broken(*args):
         raise error("broken invariant")
@@ -332,7 +347,8 @@ def test_verify_reports_an_aborted_suite_as_a_failure(monkeypatch, capsys, error
     monkeypatch.setattr(symgroup, "_a_oracle", broken)
     code, out, err = run(capsys, "verify", "--suite", "bfhcl", "--max-size", "3")
     assert code == 1 and out == ""
-    assert err == f"error: suite bfhcl aborted: {error.__name__}: broken invariant\n"
+    # str(KeyError(x)) is repr(x), so the message is the exception's own text
+    assert err == f"error: suite bfhcl aborted: {error.__name__}: {error('broken invariant')}\n"
 
 
 def test_oracle_outside_the_span_is_not_a_usage_error(monkeypatch):

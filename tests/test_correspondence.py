@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bosonfermion import correspondence
 from bosonfermion.correspondence import (
     cauchy_det,
     det_a_closed,
@@ -16,7 +17,7 @@ from bosonfermion.correspondence import (
     verify_bf_hcl,
     wtq_tensor,
 )
-from bosonfermion.partitions import added_box, dual, partitions_of, partitions_up_to, res_set
+from bosonfermion.partitions import added_box, content, dual, partitions_of, partitions_up_to, res_set
 from bosonfermion.ratmat import RationalMatrix, format_fraction
 from bosonfermion.suites import run_suite
 from bosonfermion.symgroup import LAM_BRANCH, NU_BRANCH
@@ -232,7 +233,9 @@ def test_corner_solution_window_covers_the_edge_window():
     # are those of the column-count window
     for lam in partitions_up_to(10):
         for lam1 in res_set(lam):
-            assert g_vector(lam, lam1) == g_vector(lam, lam1, lam[0] + 1)[: lam[0]], (lam1, lam)
+            anchor = content(added_box(lam1, lam)) + 1
+            wide = correspondence._g_vectors(lam, [anchor], lam[0] + 1)[0]
+            assert g_vector(lam, lam1) == wide[: lam[0]], (lam1, lam)
 
 
 def test_tilde_a_is_one_corner_of_the_shared_solve():
@@ -241,16 +244,15 @@ def test_tilde_a_is_one_corner_of_the_shared_solve():
         for lam1, lam in removal_paths(mu):
             j0 = added_box(lam, mu)[1]
             copies = max(len(dual(lam)), j0)
+            anchor = content(added_box(lam1, lam)) + 1
             solved = tilde_a(lam1, lam, mu, LAM_BRANCH)
-            assert solved == g_vector(lam, lam1, copies)[j0 - 1], (lam1, lam, mu)
+            assert solved == correspondence._g_vectors(lam, [anchor], copies)[0][j0 - 1], (lam1, lam, mu)
             assert report[(lam1, lam, LAM_BRANCH)]["a_tilde"] == format_fraction(solved)
 
 
 def test_sweep_reads_boxes_from_the_removal_path(monkeypatch):
     # the solved route takes b1 and b2 from symgroup.removal_path, so the
     # sweep never asks correspondence for an added box of its own
-    from bosonfermion import correspondence
-
     def unreachable(*args):
         raise AssertionError("the solved route computed an added box")
 

@@ -21,7 +21,7 @@ def test_int_coefficients_are_stored_as_fractions():
     v = FormalSum([("a", 2), ("b", -1), ("a", 1)])
     assert dict(v.items()) == {"a": 3, "b": -1}
     assert all(type(c) is Fraction for c in coefficients(v))
-    assert all(type(c) is Fraction for c in coefficients(FormalSum({"x": 7})))
+    assert all(type(c) is Fraction for c in coefficients(FormalSum([("x", 7)])))
     assert type(FormalSum.basis("k").coefficient("k")) is Fraction
 
 
