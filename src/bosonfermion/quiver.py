@@ -331,29 +331,26 @@ def _boundary(res: Resolution, t: int, tr: Truncation) -> dict:
     }
 
 
-def rank_exactness(res: Resolution, tr: Truncation) -> bool:
-    """Squared boundary and rank test inside a finite truncation.
+def rank_exactness(res: Resolution, tr: Truncation) -> tuple[bool, int]:
+    """Squared boundary and rank test inside a finite truncation, and the cokernel.
 
-    Checks that consecutive boundaries compose to zero on every basis vector
-    and that at every position with an incoming and outgoing map (counting
-    the zero map into the top) the two ranks fill the middle dimension.
+    Returns ``(exact, cokernel)``.  ``exact`` holds when consecutive
+    boundaries compose to zero on every basis vector and at every position
+    with an incoming and outgoing map (counting the zero map into the top)
+    the two ranks fill the middle dimension.  ``cokernel`` is the dimension
+    of the cokernel of the lowest boundary, read off the same boundaries and
+    ranks.  A tuple is always true: read ``exact``, never the pair.
     """
     if res.boundaries is None:
         raise ValueError("resolution carries no boundary maps")
     d = {t: _boundary(res, t, tr) for t in range(1, res.top_degree + 1)}
-    for t in range(1, res.top_degree):
-        for image in d[t + 1].values():
-            if not FormalSum.linear_combination((c, d[t][key]) for key, c in image.items()).is_zero():
-                return False
+    squares = all(
+        FormalSum.linear_combination((c, d[t][key]) for key, c in image.items()).is_zero()
+        for t in range(1, res.top_degree) for image in d[t + 1].values()
+    )
     ranks = {t: rank(images.values()) for t, images in d.items()}
-    return all(ranks[t] + ranks.get(t + 1, 0) == len(images) for t, images in d.items())
-
-
-def cokernel_dim(res: Resolution, tr: Truncation) -> int:
-    """Dimension of the cokernel of the lowest boundary map."""
-    if res.boundaries is None:
-        raise ValueError("resolution carries no boundary maps")
-    return len(_basis(res, 0, tr)) - rank(_boundary(res, 1, tr).values())
+    exact = squares and all(ranks[t] + ranks.get(t + 1, 0) == len(images) for t, images in d.items())
+    return exact, len(_basis(res, 0, tr)) - ranks.get(1, 0)
 
 
 def serre_bar_k0(lam, n: int) -> Partition:

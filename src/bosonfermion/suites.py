@@ -44,10 +44,16 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, key: str, ok: bool):
+    def check(self, ok: bool, template: str, *fields):
+        """Count one case; on failure record its key, ``template.format(*fields)``.
+
+        No passing key reaches the output, so a key is formatted only when its
+        case fails.  Each field is formatted as an f-string would format it;
+        a literal brace in the template is doubled.
+        """
         self.cases += 1
         if not ok:
-            self.failures.append(key)
+            self.failures.append(template.format(*fields))
 
     def to_json(self):
         return {
@@ -66,9 +72,11 @@ def energy_basis(max_energy: int, charge: int):
 
 
 def _add_word(data: dict, i: int, pairs) -> dict:
-    """Add ``fock._t_pairs(i, pairs)`` into ``data``."""
-    for c, image in fock._t_pairs(i, pairs):
-        _accumulate(data, image, c)
+    """Add t_i of each (sign, sequence) pair into ``data``, image by image."""
+    t_key = fock._t_key
+    for c1, middle in pairs:
+        for c2, image in t_key(i, middle):
+            _accumulate(data, image, c1 * c2)
     return data
 
 
@@ -76,24 +84,23 @@ def suite_clifford(max_size: int) -> SuiteResult:
     """Generator relations, exactly, on low-energy vectors of small charge.
 
     Each generator acts once on each basis sequence s, and the word t_i t_j s
-    is ``fock._t_pairs`` of that first image, added into a plain dict through
-    ``formal._accumulate``: the key action (``fock._t_key``, read at run time)
-    and accumulation ``apply_t`` uses.  Each basis vector's text is formatted once.
+    adds t_i of that first image straight into a plain dict (``_add_word``):
+    the key action (``fock._t_key``, read at run time) and accumulation
+    (``formal._accumulate``) that ``apply_t`` uses.
     """
     result = SuiteResult("clifford", max_size)
     indices = range(-6, 7)
     for k in range(-2, 3):
         for s in energy_basis(max_size, k):
-            text = str(s)
             first = {j: fock._t_key(j, s) for j in indices}
             for i in indices:
-                result.check(f"square i={i} {text}", not _add_word({}, i, first[i]))
+                result.check(not _add_word({}, i, first[i]), "square i={} {}", i, s)
                 for j in range(i + 1, indices.stop):
                     total = _add_word(_add_word({}, i, first[j]), j, first[i])
                     if j == i + 1:
-                        result.check(f"adjacent i={i} j={j} {text}", total == {s: 1})
+                        result.check(total == {s: 1}, "adjacent i={} j={} {}", i, j, s)
                     else:
-                        result.check(f"anticommute i={i} j={j} {text}", not total)
+                        result.check(not total, "anticommute i={} j={} {}", i, j, s)
     return result
 
 
@@ -133,7 +140,7 @@ def suite_heisenberg(max_size: int) -> SuiteResult:
         v = schur_basis(lam)
         lhs = schur.apply_q(schur.apply_p(v))
         rhs = schur.apply_p(schur.apply_q(v)) + v
-        result.check(f"qp-pq lam={lam}", lhs == rhs)
+        result.check(lhs == rhs, "qp-pq lam={}", lam)
     ops = {name: getattr(schur, f"apply_{name}") for name in _ROW + _COL}
     powers = range(4)
     for lam in partitions_up_to(min(max_size, 6)):
@@ -147,13 +154,13 @@ def suite_heisenberg(max_size: int) -> SuiteResult:
         }
         for m in powers:
             for n in powers:
-                tag = f"lam={lam} m={m} n={n}"
                 for family, (p, q) in (("row", _ROW), ("col", _COL)):
                     commute = all(comp[a, m, a, n] == comp[a, n, a, m] for a in (p, q))
-                    result.check(f"{family} commute {tag}", commute)
-                    result.check(f"{family} exchange {tag}", _exchange_holds(comp, p, q, m, n, 3))
+                    result.check(commute, "{} commute lam={} m={} n={}", family, lam, m, n)
+                    exchange = _exchange_holds(comp, p, q, m, n, 3)
+                    result.check(exchange, "{} exchange lam={} m={} n={}", family, lam, m, n)
                 mixed = all(_exchange_holds(comp, p, q, m, n, 1) for p, q in _MIXED)
-                result.check(f"mixed exchange {tag}", mixed)
+                result.check(mixed, "mixed exchange lam={} m={} n={}", lam, m, n)
     return result
 
 
@@ -171,12 +178,12 @@ def suite_bfhcl(max_size: int) -> SuiteResult:
     golden = golden and symgroup.a_coeff((1,), (2,), (2, 1), symgroup.LAM_BRANCH) == 2
     golden = golden and symgroup.h_coeff((2,), (2, 1)) == 2
     golden = golden and symgroup.h_coeff((1,), (2,)) == Fraction(-1, 2)
-    result.check("golden example", golden)
+    result.check(golden, "golden example")
     coefficient_cases = 0
     for n in range(2, max_size + 1):
         for row in co.verify_bf_hcl(n):
             coefficient_cases += 1
-            result.check(f"mu={row['mu']} lam={row['lam']} lam1={row['lam1']} {row['branch']}", row["pass"])
+            result.check(row["pass"], "mu={} lam={} lam1={} {}", row["mu"], row["lam"], row["lam1"], row["branch"])
     if not coefficient_cases:
         # a removal path needs |mu| >= 2; a sweep that checked no coefficient must not pass
         result.failures.append(f"no coefficient case up to size {max_size}")
@@ -184,12 +191,12 @@ def suite_bfhcl(max_size: int) -> SuiteResult:
         n_stable = fock.stable_truncation(lam)
         fv = FockVector.basis(to_sequence(lam))
         result.check(
-            f"transport q lam={lam}",
             fock.g_q_trunc(n_stable, fv) == _transported(schur.apply_q(schur_basis(lam))),
+            "transport q lam={}", lam,
         )
         result.check(
-            f"transport p lam={lam}",
             fock.g_p_trunc(n_stable, fv) == _transported(schur.apply_p(schur_basis(lam))),
+            "transport p lam={}", lam,
         )
     return result
 
@@ -201,10 +208,10 @@ def suite_serre(max_size: int) -> SuiteResult:
         for lam in partitions_bounded(n, max_size):
             lhs = fock.s_bar_n(n, FockVector.basis(dual_sequence(lam)))
             rhs = FockVector.basis(dual_sequence(union_columns(lam, n)))
-            result.check(f"bar twist n={n} lam={lam}", lhs == rhs)
+            result.check(lhs == rhs, "bar twist n={} lam={}", n, lam)
     for n in range(4):
         for lam in partitions_bounded(n, min(max_size, 8)):
-            result.check(f"row twist n={n} lam={lam}", co.sn_bridge_holds(lam, n))
+            result.check(co.sn_bridge_holds(lam, n), "row twist n={} lam={}", n, lam)
     for n in range(1, 5):
         duals = {lam: dual(lam) for lam in partitions_bounded(n, min(max_size, 8))}
         for lam, lam_t in duals.items():
@@ -212,14 +219,14 @@ def suite_serre(max_size: int) -> SuiteResult:
             for mu, mu_t in duals.items():
                 lhs = quiver.exists_hom(lam_t, mu_t)
                 rhs = quiver.exists_hom(mu_t, target)
-                result.check(f"pairing n={n} lam={lam} mu={mu}", lhs == rhs)
+                result.check(lhs == rhs, "pairing n={} lam={} mu={}", n, lam, mu)
                 if lhs:
                     prod = quiver.multiply(
                         quiver.ArrowElement(lam_t, mu_t),
                         quiver.ArrowElement(mu_t, target),
                     )
                     expected = quiver.FElement.basis(quiver.ArrowElement(lam_t, target))
-                    result.check(f"factor n={n} lam={lam} mu={mu}", prod == expected)
+                    result.check(prod == expected, "factor n={} lam={} mu={}", n, lam, mu)
     return result
 
 
@@ -232,31 +239,22 @@ def suite_resolutions(max_size: int) -> SuiteResult:
             m = sum(lam) + 2 * n + 2
             tr = quiver.Truncation(n, m)
             res = quiver.resolution_q(lam, n)
-            result.check(f"q rank n={n} lam={lam}", quiver.rank_exactness(res, tr))
-            result.check(
-                f"q cokernel n={n} lam={lam}",
-                quiver.cokernel_dim(res, tr) == len(quiver.q_module_basis(lam, n, m)),
-            )
-            result.check(
-                f"q euler n={n} lam={lam}",
-                quiver.graded_euler_check(res, quiver.q_module_dims(lam, n, m), tr),
-            )
-            result.check(
-                f"df euler n={n} lam={lam}",
-                quiver.graded_euler_check(
-                    quiver.resolution_df_p(lam, n), quiver.df_tensor_dims(lam, n), tr
-                ),
-            )
+            exact, cokernel = quiver.rank_exactness(res, tr)
+            result.check(exact, "q rank n={} lam={}", n, lam)
+            coker_ok = cokernel == len(quiver.q_module_basis(lam, n, m))
+            result.check(coker_ok, "q cokernel n={} lam={}", n, lam)
+            q_dims = quiver.q_module_dims(lam, n, m)
+            result.check(quiver.graded_euler_check(res, q_dims, tr), "q euler n={} lam={}", n, lam)
+            df = quiver.resolution_df_p(lam, n)
+            df_dims = quiver.df_tensor_dims(lam, n)
+            result.check(quiver.graded_euler_check(df, df_dims, tr), "df euler n={} lam={}", n, lam)
             simple = quiver.resolution_simple(lam, n)
-            result.check(
-                f"simple euler n={n} lam={lam}",
-                quiver.graded_euler_check(simple, quiver.simple_dims(lam), tr),
-            )
+            simple_ok = quiver.graded_euler_check(simple, quiver.simple_dims(lam), tr)
+            result.check(simple_ok, "simple euler n={} lam={}", n, lam)
             if simple.boundaries is not None and lam:
-                result.check(f"simple rank n={n} lam={lam}", quiver.rank_exactness(simple, tr))
-                result.check(
-                    f"simple cokernel n={n} lam={lam}", quiver.cokernel_dim(simple, tr) == 1
-                )
+                exact, cokernel = quiver.rank_exactness(simple, tr)
+                result.check(exact, "simple rank n={} lam={}", n, lam)
+                result.check(cokernel == 1, "simple cokernel n={} lam={}", n, lam)
     return result
 
 
@@ -265,7 +263,7 @@ def suite_identities(max_size: int) -> SuiteResult:
     result = SuiteResult("identities", max_size)
     for s in range(-5, 9):
         for t in range(1, 9):
-            result.check(f"f s={s} t={t}", co.f_sum(s, t) == co.f_closed(s, t))
+            result.check(co.f_sum(s, t) == co.f_closed(s, t), "f s={} t={}", s, t)
     rng = random.Random(20250808)
     for trial in range(20):
         k = rng.randint(1, 6)
@@ -275,18 +273,16 @@ def suite_identities(max_size: int) -> SuiteResult:
             if all(x + y != 0 for x in a for y in b):
                 break
         direct = RationalMatrix([[1 / (x + y) for y in b] for x in a]).det()
-        result.check(f"cauchy trial={trial}", co.cauchy_det(a, b) == direct)
+        result.check(co.cauchy_det(a, b) == direct, "cauchy trial={}", trial)
     for mu in partitions_up_to(max(max_size, 12)):
         if mu:
-            result.check(f"factorial identity mu={mu}", co.subclaim_identity(mu))
+            result.check(co.subclaim_identity(mu), "factorial identity mu={}", mu)
     for lam in partitions_up_to(min(max_size, 8)):
         k = lam[0] if lam else 1
         c = co.matrix_c(lam, k)
-        result.check(
-            f"BC=A lam={lam}", co.matrix_b(k) @ c == co.matrix_a_closed(lam, k)
-        )
+        result.check(co.matrix_b(k) @ c == co.matrix_a_closed(lam, k), "BC=A lam={}", lam)
         d = c.det()
-        result.check(f"det lam={lam}", d == co.det_a_closed(lam, k) and d != 0)
+        result.check(d == co.det_a_closed(lam, k) and d != 0, "det lam={}", lam)
     for mu in partitions_up_to(min(max_size, 8)):
         corners = sorted(res_set(mu))
         for x in range(len(corners)):
@@ -300,7 +296,7 @@ def suite_identities(max_size: int) -> SuiteResult:
                 )
                 lhs = symgroup.h_coeff(mu1, mu) * (d - 1)
                 rhs = d * symgroup.h_coeff(lam1, lam)
-                result.check(f"h square mu={mu} lam={lam} mu1={mu1}", lhs == rhs)
+                result.check(lhs == rhs, "h square mu={} lam={} mu1={}", mu, lam, mu1)
     return result
 
 

@@ -2,6 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
+from bosonfermion.formal import FormalSum
 from bosonfermion.partitions import (
     as_partition,
     dual,
@@ -16,7 +17,8 @@ from bosonfermion.quiver import (
     LimitLabel,
     Resolution,
     Truncation,
-    cokernel_dim,
+    _basis,
+    _boundary,
     df_tensor_dims,
     exists_hom,
     graded_euler_check,
@@ -31,6 +33,7 @@ from bosonfermion.quiver import (
     serre_bar_k0,
     simple_dims,
 )
+from bosonfermion.ratmat import rank
 
 
 def horizontal_skew(inner, outer):
@@ -148,6 +151,47 @@ def test_resolution_q_consecutive_boundaries_vanish():
                 assert multiply(g2, g1).is_zero(), (lam, n, t)
 
 
+def reference_cokernel(res, tr):
+    """Cokernel of the lowest boundary, d_1 built and ranked on its own."""
+    return len(_basis(res, 0, tr)) - rank(_boundary(res, 1, tr).values())
+
+
+def squares_vanish(res, tr):
+    """d_t d_{t+1} = 0 on every basis vector, from freshly built boundaries."""
+    d = {t: _boundary(res, t, tr) for t in range(1, res.top_degree + 1)}
+    return all(
+        FormalSum.linear_combination((c, d[t][key]) for key, c in image.items()).is_zero()
+        for t in range(1, res.top_degree) for image in d[t + 1].values()
+    )
+
+
+def ranks_fill(res, tr):
+    """rank d_t + rank d_{t+1} = dim of degree t, from freshly built boundaries."""
+    ranks = {t: rank(_boundary(res, t, tr).values()) for t in range(1, res.top_degree + 1)}
+    return all(ranks[t] + ranks.get(t + 1, 0) == len(_basis(res, t, tr)) for t in ranks)
+
+
+def suite_resolutions_with_boundaries():
+    # the q and simple resolutions with boundaries that suite_resolutions ranks, at its sizes
+    for n in (1, 2, 3):
+        for lam in partitions_bounded(n, 6):
+            tr = Truncation(n, sum(lam) + 2 * n + 2)
+            yield resolution_q(lam, n), tr
+            simple = resolution_simple(lam, n)
+            if simple.boundaries is not None and lam:
+                yield simple, tr
+
+
+def test_rank_exactness_cokernel_matches_the_rebuilt_lowest_boundary():
+    cases = 0
+    for res, tr in suite_resolutions_with_boundaries():
+        exact, cokernel = rank_exactness(res, tr)
+        assert exact, res
+        assert cokernel == reference_cokernel(res, tr), res
+        cases += 1
+    assert cases == 82  # 46 q and 36 simple resolutions
+
+
 def test_rank_exactness_negative_control():
     res = resolution_q((1,), 2)
     # corrupt the lowest boundary generator
@@ -156,7 +200,9 @@ def test_rank_exactness_negative_control():
     res.boundaries[2] = ((0, 0, ArrowElement((1,), (2,)), 1),)
     res.terms[2] = (2, ((1,),))
     tr = Truncation(2, 9)
-    assert not rank_exactness(res, tr)
+    exact, cokernel = rank_exactness(res, tr)
+    assert not exact and not squares_vanish(res, tr)
+    assert cokernel == reference_cokernel(res, tr)
 
 
 def test_rank_exactness_catches_a_missing_top_boundary():
@@ -165,7 +211,8 @@ def test_rank_exactness_catches_a_missing_top_boundary():
         res = resolution_q(lam, n)
         res.boundaries[n] = ()
         tr = Truncation(n, sum(lam) + 2 * n + 2)
-        assert not rank_exactness(res, tr), (lam, n)
+        exact, _cokernel = rank_exactness(res, tr)
+        assert not exact and squares_vanish(res, tr) and not ranks_fill(res, tr), (lam, n)
 
 
 def test_rank_exactness_catches_a_boundary_that_does_not_square_to_zero():
@@ -173,7 +220,8 @@ def test_rank_exactness_catches_a_boundary_that_does_not_square_to_zero():
     res = resolution_simple((2, 1), 2)
     res.boundaries[2] = tuple((s, t, g, 1) for s, t, g, _ in res.boundaries[2])
     tr = Truncation(2, 9)
-    assert not rank_exactness(res, tr)
+    exact, _cokernel = rank_exactness(res, tr)
+    assert not exact and ranks_fill(res, tr) and not squares_vanish(res, tr)
 
 
 def test_graded_euler_negative_control():
@@ -226,8 +274,8 @@ def test_resolution_simple_rank_exactness_two_rows():
             res = resolution_simple(lam, n)
             assert res.boundaries is not None
             tr = Truncation(n, sum(lam) + 2 * n + 2)
-            assert rank_exactness(res, tr), (lam, n)
-            assert cokernel_dim(res, tr) == 1, (lam, n)
+            exact, cokernel = rank_exactness(res, tr)
+            assert exact and cokernel == 1, (lam, n)
 
 
 def test_resolution_lengths():
