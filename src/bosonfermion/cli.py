@@ -134,7 +134,7 @@ def schur_text(v: SchurVector) -> str:
 
 
 def fock_text(v: FockVector) -> str:
-    return v.to_text(ChargedSequence.display)
+    return v.to_text(fock.sequence_text)
 
 
 _FOCK_OP = re.compile(r"^(t|psi\*|psi|sbar|sn|gq|gp|tau)(-?\d+)$")
@@ -199,6 +199,9 @@ def run_coeff(args) -> int:
         raise CliError(f"{lam1} -> {lam} -> {mu} is not a removal path") from None
     d = content(path.b2) - content(path.b1)
     rows = co.check_path(path, co.corner_solutions(path.lam))
+    # the rows hold Fractions; coeff prints each as "p" or "p/q"
+    routes = ("a", "a_oracle", "a_tilde")
+    branches = [{"branch": row["branch"], **{r: format_fraction(row[r]) for r in routes}} for row in rows]
     payload = {
         "lam1": list(lam1),
         "lam": list(lam),
@@ -206,14 +209,14 @@ def run_coeff(args) -> int:
         "d": d,
         "h_lam_mu": format_fraction(symgroup.h_coeff(lam, mu)),
         "h_lam1_lam": format_fraction(symgroup.h_coeff(lam1, lam)),
-        "branches": [{key: value for key, value in row.items() if key != "pass"} for row in rows],
+        "branches": branches,
     }
     if args.json:
         print(json.dumps(payload))
     else:
         print(f"path {label_text(lam1)} -> {label_text(lam)} -> {label_text(mu)}")
         print(f"d = {d}   h[lam->mu] = {payload['h_lam_mu']}   h[lam1->lam] = {payload['h_lam1_lam']}")
-        for row in rows:
+        for row in branches:
             print(
                 f"branch {row['branch']:>3}:  a = {row['a']:>8}  oracle = {row['a_oracle']:>8}"
                 f"  solved = {row['a_tilde']:>8}"

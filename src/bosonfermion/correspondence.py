@@ -6,10 +6,11 @@ projective in two neighbouring degrees plus one extra projective for every
 removable corner.  The differential between the repeated copies is the
 factorial matrix C below; it is nonsingular, with determinant given by a
 Cauchy-type closed form, and inverting it against the corner column yields
-the coefficients named a-tilde here.  C depends on the partition alone, so
-one elimination serves all of its corners; the ``bfhcl`` sweep makes it once
-per partition lam, checks the resulting coefficients on every removal path
-through lam against the representation-theoretic values from
+the coefficients named a-tilde here.  C is written once, as rows scaled to
+integers (``_c_rows``), and eliminated on them.  C depends on the partition
+alone, so one elimination serves all of its corners; the ``bfhcl`` sweep
+makes it once per partition lam, checks the resulting coefficients on every
+removal path through lam against the representation-theoretic values from
 :mod:`bosonfermion.symgroup`, and drops it when lam is done.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from . import symgroup
+from . import ratmat, symgroup
 from .fock import FockVector, s_n_op
 from .partitions import (
     Partition,
@@ -27,7 +28,6 @@ from .partitions import (
     as_partition,
     content,
     dual,
-    ind_set,
     lambda_t,
     part,
     partitions_of,
@@ -94,15 +94,27 @@ def _padded_dual(lam: Partition, k: int) -> list[int]:
     return [part(cols, j) for j in range(1, k + 1)]
 
 
-def matrix_c(lam, k: int) -> RationalMatrix:
-    """The k x k factorial matrix of the collapsed differential."""
-    lam = as_partition(lam)
+def _c_rows(lam: Partition, k: int, anchors=()) -> list[tuple[int, list[int]]]:
+    """Row i of C, followed by 1/(i - a)! for each anchor a, on integers: (scale, entries) per row.
+
+    Entry (i, j) of C is 1/e!, e = i + cols_j - j with the columns of lam
+    padded by zeros, and zero for e < 0.  Each row is scaled by the largest
+    factorial its entries divide, top = m! with m the largest e, so 1/e!
+    becomes ``top // e!``.  This is the one definition of C.
+    """
     cols = _padded_dual(lam, k)
-    data = [
-        [inv_factorial(i - (-cols[j - 1] + j)) for j in range(1, k + 1)]
-        for i in range(1, k + 1)
-    ]
-    return RationalMatrix(data)
+    rows = []
+    for i in range(1, k + 1):
+        exponents = [i + c - j for j, c in enumerate(cols, start=1)] + [i - a for a in anchors]
+        top = factorial(max(exponents))
+        rows.append((top, [top // factorial(e) if e >= 0 else 0 for e in exponents]))
+    return rows
+
+
+def matrix_c(lam, k: int) -> RationalMatrix:
+    """The k x k factorial matrix of the collapsed differential: the rows of ``_c_rows`` over their scales."""
+    lam = as_partition(lam)
+    return RationalMatrix([[Fraction(x, top) for x in row] for top, row in _c_rows(lam, k)])
 
 
 def matrix_b(k: int) -> RationalMatrix:
@@ -242,13 +254,19 @@ def wtq_tensor(lam) -> WtqComplex:
 def _g_vectors(lam: Partition, anchors, k: int) -> list[list[Fraction]]:
     """Chain-map solutions for several corners of lam, in one elimination of C.
 
-    Each corner contributes one right-hand side: inverse factorials measured
-    from its window index ``content(b1) + 1``, with b1 the corner box; the
-    ``anchors`` are these indices.  ``k`` is at least the column count of lam.
+    Each corner contributes one right-hand side: minus the inverse
+    factorials measured from its window index ``content(b1) + 1``, with b1
+    the corner box; the ``anchors`` are these indices.  ``k`` is at least the
+    column count of lam.  The integer rows of ``_c_rows``, right-hand sides
+    included, go to ``ratmat._bareiss`` as they are, so a ``Fraction`` is made
+    only for each solution component.
     """
-    rhs = [[-inv_factorial(i - anchor) for anchor in anchors] for i in range(1, k + 1)]
-    solutions = matrix_c(lam, k).solve(RationalMatrix(rhs))
-    return [solutions.column(c) for c in range(len(anchors))]
+    eliminated = ratmat._bareiss([row for _, row in _c_rows(lam, k, anchors)], k)
+    if eliminated is None:
+        raise ratmat.SingularMatrixError(f"C of {lam} at {k} copies is singular")
+    _, _, pivot, rows = eliminated
+    # the rows carry +1/(i - a)!, so each component is negated
+    return [[Fraction(-row[k + c], pivot) for row in rows] for c in range(len(anchors))]
 
 
 def corner_solutions(lam: Partition) -> dict[int, list[Fraction]]:
@@ -303,15 +321,16 @@ def check_path(path: symgroup.RemovalPath, solved: dict[int, list[Fraction]]) ->
 
     Each route's body runs once on the path as given and answers for every
     branch; ``solved`` is ``corner_solutions(path.lam)``.  The values are
-    ``format_fraction`` strings, and ``pass`` is their exact equality.
+    ``Fraction``s, and ``pass`` is their exact equality; whoever prints a
+    row formats them.
     """
     routes = symgroup._a_coeff(path), symgroup._a_oracle(path), _tilde_a(path, solved)
     return [
         {
             "branch": branch,
-            "a": format_fraction(a),
-            "a_oracle": format_fraction(oracle),
-            "a_tilde": format_fraction(solved_value),
+            "a": a,
+            "a_oracle": oracle,
+            "a_tilde": solved_value,
             "pass": a == oracle == solved_value,
         }
         for branch, a, oracle, solved_value in zip(path.branches, *routes, strict=True)
@@ -322,19 +341,18 @@ def verify_bf_hcl(n: int):
     """Yield ``check_path``'s rows, each with its mu, lam and lam1, for every removal path with |mu| = n.
 
     One lam of size n - 1 at a time: C is eliminated once for all corners of
-    lam, that solve serves every mu in ``ind_set(lam)`` and lam1 in
-    ``res_set(lam)``, and it is dropped when lam is done.  Each path is built
-    once, and every route reads its boxes from the path and nothing of the
-    other routes.
+    lam, that solve serves every path ``symgroup.paths_through(lam)`` builds
+    from lam's corners and addable boxes, and it is dropped when lam is done.
+    Each path is built once, with no ``removal_path`` check, and every route
+    reads its boxes from the path and nothing of the other routes.
     """
     for lam in partitions_of(n - 1):
         if not lam:
             continue
-        solved, below = corner_solutions(lam), sorted(res_set(lam))
-        for mu in sorted(ind_set(lam)):
-            for lam1 in below:
-                for row in check_path(symgroup.removal_path(lam1, lam, mu), solved):
-                    yield {"mu": mu, "lam": lam, "lam1": lam1, **row}
+        solved = corner_solutions(lam)
+        for path in symgroup.paths_through(lam):
+            for row in check_path(path, solved):
+                yield {"mu": path.mu, "lam": lam, "lam1": path.lam1, **row}
 
 
 def subclaim_identity(mu) -> bool:

@@ -8,8 +8,9 @@ sequence's bit masks by ``partitions.clifford_t`` or by ``ChargedSequence.remove
 or ``shift``, so the operators accumulate through ``FormalSum._apply``
 without checking each key again.  A key hashes and compares as its two
 masks, in C; terms print in the order of ``FockVector._sort_key``, by
-(charge, head).  Each image carries a sign of +-1, which ``_apply`` applies
-by negation.
+(charge, head), and print from that pair, so each head is read off the
+masks once per print.  Each image carries a sign of +-1, which ``_apply``
+applies by negation.
 """
 
 from __future__ import annotations
@@ -34,7 +35,14 @@ class FockVector(FormalSum):
         return key.charge, key.head
 
     def to_json(self):
-        return self.json_terms("sequence", lambda k: {"charge": k.charge, "head": list(k.head)})
+        return self.json_terms("sequence", lambda form: {"charge": form[0], "head": list(form[1])})
+
+
+def sequence_text(form) -> str:
+    """A (charge, head) pair as ``(x_1,...,x_h,t,t+2,...)``, t = 2h + 2 + 2 * charge the first tail value."""
+    charge, head = form
+    tail = 2 * len(head) + 2 + 2 * charge
+    return "(" + ",".join(str(x) for x in head + (tail, tail + 2)) + ",...)"
 
 
 def vacuum(charge: int = 0) -> FockVector:

@@ -22,6 +22,7 @@ coefficient and one of -1 negates it; only other values multiply.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .ratmat import format_fraction
 
@@ -117,12 +118,17 @@ class FormalSum:
 
     @staticmethod
     def _sort_key(key):
-        """What ``sorted_items`` orders a key by."""
+        """What terms are ordered by, and the form of a key that ``to_text`` and ``json_terms`` print."""
         return key
 
     def sorted_items(self) -> list:
         order = self._sort_key
         return sorted(self.items(), key=lambda kv: order(kv[0]))
+
+    def _printed(self) -> list:
+        """(``_sort_key`` form, coefficient) pairs in key order, each form computed once."""
+        order = self._sort_key
+        return sorted(((order(key), coeff) for key, coeff in self.items()), key=itemgetter(0))
 
     def coefficient(self, key) -> Fraction:
         return _public(self._terms.get(key, 0))
@@ -178,14 +184,17 @@ class FormalSum:
         return self._wrap(data)
 
     def to_text(self, display, reverse: bool = False) -> str:
-        """Signed sum in key order, e.g. ``(2) - 1/2*(1,1)``; unit coefficients are omitted."""
+        """Signed sum in key order, e.g. ``(2) - 1/2*(1,1)``; unit coefficients are omitted.
+
+        ``display`` maps the ``_sort_key`` form of a key to its text.
+        """
         if not self._terms:
             return "0"
-        items = self.sorted_items()
+        items = self._printed()
         pieces = []
-        for key, coeff in reversed(items) if reverse else items:
+        for form, coeff in reversed(items) if reverse else items:
             mag = abs(coeff)
-            term = display(key) if mag == 1 else f"{format_fraction(mag)}*{display(key)}"
+            term = display(form) if mag == 1 else f"{format_fraction(mag)}*{display(form)}"
             if not pieces:
                 pieces.append(f"-{term}" if coeff < 0 else term)
             else:
@@ -193,10 +202,13 @@ class FormalSum:
         return "".join(pieces)
 
     def json_terms(self, key_name: str, key_json) -> list[dict]:
-        """Terms in key order as ``{key_name: key_json(key), "coefficient": "p/q"}``."""
+        """Terms in key order as ``{key_name: key_json(form), "coefficient": "p/q"}``.
+
+        ``form`` is the ``_sort_key`` of a key, as ``to_text`` hands it to ``display``.
+        """
         return [
-            {key_name: key_json(k), "coefficient": format_fraction(c)}
-            for k, c in self.sorted_items()
+            {key_name: key_json(form), "coefficient": format_fraction(c)}
+            for form, c in self._printed()
         ]
 
     def __repr__(self):

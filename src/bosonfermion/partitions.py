@@ -72,6 +72,13 @@ def removable_corners(p: Partition) -> list[Box]:
     return corners
 
 
+def addable_boxes(p: Partition) -> list[Box]:
+    """The boxes addable to p, by row: the first row, each row shorter than the one above, a new row."""
+    boxes = [(i + 1, row + 1) for i, row in enumerate(p) if i == 0 or row < p[i - 1]]
+    boxes.append((len(p) + 1, 1))
+    return boxes
+
+
 def remove_box(p: Partition, box: Box) -> Partition:
     row = box[0]
     return as_partition(p[: row - 1] + (p[row - 1] - 1,) + p[row:])
@@ -273,9 +280,8 @@ class ChargedSequence(tuple):
     of H says 2b + 2 is absent.  Each sequence has one pair, so hashing and
     equality are the tuple's own, in C; the pair is a storage format with no
     meaningful order (``FockVector`` sorts by (charge, head)).  The charge is
-    ``H.bit_count() - P.bit_count()``; ``head``, ``display``, ``energy`` and
-    the repr are read off the masks.  Only the constructor and ``of`` check
-    their input.
+    ``H.bit_count() - P.bit_count()``; ``head``, ``energy`` and the repr are
+    read off the masks.  Only the constructor and ``of`` check their input.
     """
 
     __slots__ = ()
@@ -387,10 +393,6 @@ class ChargedSequence(tuple):
     def energy(self) -> int:
         k = self.charge
         return sum(k + i - x // 2 for i, x in enumerate(self.head, 1))
-
-    def display(self) -> str:
-        head, tail = self.head, self.first_tail_value
-        return "(" + ",".join(str(x) for x in head + (tail, tail + 2)) + ",...)"
 
 
 _make = tuple.__new__

@@ -4,8 +4,11 @@ Small and dependency free.  ``RationalMatrix.solve`` and ``det`` share one
 fraction-free elimination, ``_bareiss``: each row is scaled to integers by the
 lcm of its denominators and eliminated by Bareiss Gauss-Jordan on Python
 ``int``s, every division exact, so a ``Fraction`` is made only for each
-result.  ``rank`` runs Gauss-Jordan over sparse rows, ``_echelon``, whose cost
-follows the supports of the rows and not the size of the ambient space.
+result.  Rows of ``int``s go through with a scale of 1, so a caller that
+holds a system on integers, as ``correspondence`` does for the factorial
+matrix C, hands it over with no ``Fraction`` at all.  ``rank`` runs
+Gauss-Jordan over sparse rows, ``_echelon``, whose cost follows the supports
+of the rows and not the size of the ambient space.
 """
 
 from __future__ import annotations

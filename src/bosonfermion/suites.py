@@ -220,7 +220,8 @@ def suite_serre(max_size: int) -> SuiteResult:
                 lhs = quiver.exists_hom(lam_t, mu_t)
                 rhs = quiver.exists_hom(mu_t, target)
                 result.check(lhs == rhs, "pairing n={} lam={} mu={}", n, lam, mu)
-                if lhs:
+                # factor needs both arrows; where only lhs holds, the pairing case has failed
+                if lhs and rhs:
                     prod = quiver.multiply(
                         quiver.ArrowElement(lam_t, mu_t),
                         quiver.ArrowElement(mu_t, target),
@@ -307,8 +308,9 @@ def suite_identities(max_size: int) -> SuiteResult:
 # 22.7 s and 22 MB, and at 42 took 30.2 and 24.5 s; ``identities`` at 54 took
 # 27.2 and 28.4 s and 17 MB, and at 55 took 29.7 and 33.8 s; runs of
 # ``tools/ladder.py --cap-from`` set the other three, each cap the smaller of
-# two runs: ``bfhcl`` 28 (from 25: 29 broke 30 s in both runs; 28 took 23.1
-# to 26.6 s over 12 runs and 22 MB, so time sets it),
+# two runs: ``bfhcl`` 28 (from 28, with rows built from the level and C
+# eliminated on integers: 29 broke 30 s in the first run, 30 in the second;
+# 28 took 18.6 to 23.2 s over 6 runs and 22 MB, so time sets it),
 # ``clifford`` 27 (from 26: 28 broke 30 s in the first run, 30 in the
 # second; 27 took 14.3 to 29.4 s over 12 runs, 17 MB) and ``serre`` 136
 # (from 113 and from 133: 137 broke 30 s in the first run, 138 in the second;

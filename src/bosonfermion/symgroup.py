@@ -14,14 +14,17 @@ after rescaling each basis vector by a constant c_T normalized to 1 on the
 row-major filling.  ``_act`` is the one place this rule is written.  The
 module computes the rescaling constant h of each box-adding edge and the
 structure constants of the restriction map on projectives, in closed form
-and from first principles (the oracle).  ``removal_path`` is the one check
-that lam1 -> lam -> mu adds one box at a time; every coefficient route,
-here and in :mod:`bosonfermion.correspondence`, starts from it, and a
-caller holding a path runs each route's private body on it.  The oracle
-reads one content vector, the row-major one of lam1: s_{n-1} acts on the
-image cv + (c1, c2) of any tableau cv of lam1, c1 and c2 the contents of the
-added boxes, through d = c2 - c1 alone, so every other tableau would repeat
-its equations.
+and from first principles (the oracle).  Every coefficient route, here and
+in :mod:`bosonfermion.correspondence`, reads a ``RemovalPath`` and nothing
+of the other routes, and a caller holding a path runs each route's private
+body on it.  ``removal_path`` is the one check of a path lam1 -> lam -> mu
+that a caller hands in; the ``bfhcl`` sweep instead builds the paths
+through each partition lam it holds from lam's own corners and addable
+boxes (``paths_through``), with nothing to check.  The oracle reads one
+content vector, the row-major one of lam1: s_{n-1} acts on the image
+cv + (c1, c2) of any tableau cv of lam1, c1 and c2 the contents of the added
+boxes, through d = c2 - c1 alone, so every other tableau would repeat its
+equations.
 """
 
 from __future__ import annotations
@@ -35,9 +38,12 @@ from .partitions import (
     Partition,
     added_box,
     add_box,
+    addable_boxes,
     as_partition,
     content,
     dual,
+    removable_corners,
+    remove_box,
 )
 
 LAM_BRANCH = "lam"
@@ -89,8 +95,9 @@ def removal_path(lam1, lam, mu, *wanted: str) -> RemovalPath:
 
     The nu branch exists when the added boxes span a square, not when they
     form a domino (one row or column, |c2 - c1| = 1).  Raise ValueError for a
-    non-path and for a ``wanted`` branch the path lacks.  Every coefficient
-    route reads this geometry and nothing else of the others.
+    non-path and for a ``wanted`` branch the path lacks.  This is the check
+    for caller input (``coeff`` and the public routes); the sweep's paths
+    come from ``paths_through``, which needs none.
     """
     lam1, lam, mu = as_partition(lam1), as_partition(lam), as_partition(mu)
     try:
@@ -105,6 +112,20 @@ def removal_path(lam1, lam, mu, *wanted: str) -> RemovalPath:
         if branch not in path.branches:
             raise ValueError("no second branch: the added boxes form a domino")
     return path
+
+
+def paths_through(lam: Partition):
+    """Yield every ``RemovalPath`` lam1 -> lam -> mu through a partition lam, by mu and then by lam1.
+
+    b1 runs over the removable corners of lam and b2 over its addable boxes,
+    so each path is built from lam alone, with nothing to re-derive or check.
+    The fields are those ``removal_path(lam1, lam, mu)`` returns.
+    """
+    below = sorted((remove_box(lam, box), box) for box in removable_corners(lam))
+    for mu, b2 in sorted((add_box(lam, box), box) for box in addable_boxes(lam)):
+        for lam1, b1 in below:
+            nu = None if abs(content(b2) - content(b1)) == 1 else add_box(lam1, b2)
+            yield RemovalPath(lam1, lam, mu, b1, b2, nu)
 
 
 def _oracle_solve(lam1: Partition, c1: int, c2: int) -> tuple[Fraction, ...]:

@@ -459,6 +459,7 @@ def test_coeff_branches_are_the_sweep_rows(capsys):
     # coeff and the bfhcl sweep check a path with the same function
     from bosonfermion.correspondence import verify_bf_hcl
     from bosonfermion.partitions import partitions_up_to
+    from bosonfermion.ratmat import format_fraction
 
     paths = 0
     for mu in partitions_up_to(6):
@@ -468,7 +469,8 @@ def test_coeff_branches_are_the_sweep_rows(capsys):
                 continue
             key = (cli.label_text(case.pop("lam1")), cli.label_text(case.pop("lam")))
             assert case.pop("pass") is True
-            rows.setdefault(key, []).append(case)
+            formatted = {name: value if name == "branch" else format_fraction(value) for name, value in case.items()}
+            rows.setdefault(key, []).append(formatted)
         for (lam1, lam), branches in rows.items():
             path = ["--lam1", lam1, "--lam", lam, "--mu", cli.label_text(mu)]
             code, out, _ = run(capsys, "coeff", *path, "--json")

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from bosonfermion import correspondence
+from bosonfermion import correspondence, ratmat, symgroup
 from bosonfermion.correspondence import (
     cauchy_det,
     det_a_closed,
     f_closed,
     f_sum,
     g_vector,
+    inv_factorial,
     matrix_a_closed,
     matrix_b,
     matrix_c,
@@ -17,8 +18,8 @@ from bosonfermion.correspondence import (
     verify_bf_hcl,
     wtq_tensor,
 )
-from bosonfermion.partitions import added_box, content, dual, partitions_of, partitions_up_to, res_set
-from bosonfermion.ratmat import RationalMatrix, format_fraction
+from bosonfermion.partitions import added_box, content, dual, ind_set, partitions_of, partitions_up_to, res_set
+from bosonfermion.ratmat import RationalMatrix
 from bosonfermion.suites import run_suite
 from bosonfermion.symgroup import LAM_BRANCH, NU_BRANCH
 
@@ -178,14 +179,12 @@ def removal_paths(mu):
 
 
 def test_verify_solves_each_system_once(monkeypatch):
-    from bosonfermion import symgroup
-
     calls = {"dense": 0, "path": 0, "oracle": 0}
-    dense, path, oracle = RationalMatrix.solve, symgroup.removal_path, symgroup._oracle_solve
+    dense, path, oracle = ratmat._bareiss, symgroup.removal_path, symgroup._oracle_solve
 
-    def counted_dense(self, rhs):
+    def counted_dense(rows, n):
         calls["dense"] += 1
-        return dense(self, rhs)
+        return dense(rows, n)
 
     def counted_path(*args):
         calls["path"] += 1
@@ -195,20 +194,19 @@ def test_verify_solves_each_system_once(monkeypatch):
         calls["oracle"] += 1
         return oracle(*args)
 
-    monkeypatch.setattr(RationalMatrix, "solve", counted_dense)
+    monkeypatch.setattr(ratmat, "_bareiss", counted_dense)
     monkeypatch.setattr(symgroup, "removal_path", counted_path)
     monkeypatch.setattr(symgroup, "_oracle_solve", counted_oracle)
     paths, lams = 0, set()
     for n in range(8):
         level = [(lam1, lam, mu) for mu in partitions_of(n) for lam1, lam in removal_paths(mu)]
-        before = calls["path"]
         assert all(row["pass"] for row in verify_bf_hcl(n)), n
-        # one removal_path call per path of the level, shared by the three routes
-        assert calls["path"] - before == len(level), n
         paths += len(level)
         lams.update(lam for _, lam, _ in level)
-    # one oracle solve per removal path (square or domino), and one
-    # elimination of C per partition lam with a corner, for the whole sweep
+    # the level builds its paths, so none goes through removal_path; one
+    # oracle solve per removal path (square or domino), and one elimination
+    # of C per partition lam with a corner, for the whole sweep
+    assert calls["path"] == 0
     assert calls["oracle"] == paths
     assert calls["dense"] == len(lams)
 
@@ -228,6 +226,17 @@ def test_level_sweep_visits_each_removal_path_once():
             assert branches[mu, lam, lam1] == expected, (lam1, lam, mu)
 
 
+def test_level_built_paths_are_the_checked_paths():
+    # paths_through builds from lam's boxes what removal_path checks and derives
+    for n in range(8):
+        for lam in partitions_of(n):
+            built = list(symgroup.paths_through(lam))
+            assert [(p.mu, p.lam1) for p in built] == sorted((p.mu, p.lam1) for p in built), lam
+            assert len(built) == len(res_set(lam)) * len(ind_set(lam)), lam
+            for path in built:
+                assert path == symgroup.removal_path(path.lam1, lam, path.mu), path
+
+
 def test_corner_solution_window_covers_the_edge_window():
     # the solve per lam uses lam_1 + 1 copies; the first lam_1 components
     # are those of the column-count window
@@ -236,6 +245,26 @@ def test_corner_solution_window_covers_the_edge_window():
             anchor = content(added_box(lam1, lam)) + 1
             wide = correspondence._g_vectors(lam, [anchor], lam[0] + 1)[0]
             assert g_vector(lam, lam1) == wide[: lam[0]], (lam1, lam)
+
+
+def test_integer_corner_solve_is_the_dense_solve():
+    # the integer rows of C and its right-hand sides solve as C itself does
+    for lam in partitions_up_to(10):
+        if not lam:
+            continue
+        k = lam[0] + 1
+        for anchor, solution in correspondence.corner_solutions(lam).items():
+            rhs = RationalMatrix([[-inv_factorial(i - anchor)] for i in range(1, k + 1)])
+            assert solution == matrix_c(lam, k).solve(rhs).column(0), (lam, anchor)
+
+
+def test_matrix_c_is_its_inverse_factorial_definition():
+    for lam in partitions_up_to(8):
+        cols = dual(lam)
+        for k in range(len(cols), len(cols) + 3):
+            padded = cols + (0,) * (k - len(cols))
+            want = [[inv_factorial(i - (-padded[j - 1] + j)) for j in range(1, k + 1)] for i in range(1, k + 1)]
+            assert matrix_c(lam, k).data == want, (lam, k)
 
 
 def test_tilde_a_is_one_corner_of_the_shared_solve():
@@ -247,11 +276,11 @@ def test_tilde_a_is_one_corner_of_the_shared_solve():
             anchor = content(added_box(lam1, lam)) + 1
             solved = tilde_a(lam1, lam, mu, LAM_BRANCH)
             assert solved == correspondence._g_vectors(lam, [anchor], copies)[0][j0 - 1], (lam1, lam, mu)
-            assert report[(lam1, lam, LAM_BRANCH)]["a_tilde"] == format_fraction(solved)
+            assert report[(lam1, lam, LAM_BRANCH)]["a_tilde"] == solved
 
 
 def test_sweep_reads_boxes_from_the_removal_path(monkeypatch):
-    # the solved route takes b1 and b2 from symgroup.removal_path, so the
+    # the solved route takes b1 and b2 from the path it is handed, so the
     # sweep never asks correspondence for an added box of its own
     def unreachable(*args):
         raise AssertionError("the solved route computed an added box")
