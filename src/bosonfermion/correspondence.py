@@ -261,10 +261,9 @@ def _g_vectors(lam: Partition, anchors, k: int) -> list[list[Fraction]]:
     included, go to ``ratmat._bareiss`` as they are, so a ``Fraction`` is made
     only for each solution component.
     """
-    eliminated = ratmat._bareiss([row for _, row in _c_rows(lam, k, anchors)], k)
-    if eliminated is None:
+    rank, _, _, pivot, rows = ratmat._bareiss([row for _, row in _c_rows(lam, k, anchors)], k)
+    if rank < k:
         raise ratmat.SingularMatrixError(f"C of {lam} at {k} copies is singular")
-    _, _, pivot, rows = eliminated
     # the rows carry +1/(i - a)!, so each component is negated
     return [[Fraction(-row[k + c], pivot) for row in rows] for c in range(len(anchors))]
 

@@ -67,15 +67,6 @@ def _psi_star_key(j: int, key: ChargedSequence):
 _t_key = clifford_t
 
 
-def _t_pairs(i: int, pairs):
-    """Images of (sign, sequence) pairs under t_i, key by key, as (sign, sequence) pairs."""
-    out = []
-    for c1, middle in pairs:
-        for c2, image in _t_key(i, middle):
-            out.append((c1 * c2, image))
-    return out
-
-
 def apply_psi(j: int, v: FockVector) -> FockVector:
     """Insert the value 2j with the fermionic sign; zero where 2j is present: t_{2j}."""
     return v._apply(lambda key: _t_key(2 * j, key))
@@ -153,8 +144,8 @@ def _quadratic_trunc(N: int, d: int, v: FockVector) -> FockVector:
     words += [(-1, 2 * i + d, 2 * i) for i in range(1, N + 1)]
 
     def images(key):
-        return [(sign * c, image) for sign, outer, inner in words
-                for c, image in _t_pairs(outer, _t_key(inner, key))]
+        return [(sign * c1 * c2, image) for sign, outer, inner in words
+                for c1, middle in _t_key(inner, key) for c2, image in _t_key(outer, middle)]
 
     return v._apply(images)
 

@@ -1,14 +1,14 @@
 """Exact-rational linear algebra over ``Fraction``.
 
-Small and dependency free.  ``RationalMatrix.solve`` and ``det`` share one
-fraction-free elimination, ``_bareiss``: each row is scaled to integers by the
-lcm of its denominators and eliminated by Bareiss Gauss-Jordan on Python
-``int``s, every division exact, so a ``Fraction`` is made only for each
-result.  Rows of ``int``s go through with a scale of 1, so a caller that
-holds a system on integers, as ``correspondence`` does for the factorial
-matrix C, hands it over with no ``Fraction`` at all.  ``rank`` runs
-Gauss-Jordan over sparse rows, ``_echelon``, whose cost follows the supports
-of the rows and not the size of the ambient space.
+Small and dependency free.  ``RationalMatrix.solve``, ``det`` and ``rank``
+share one fraction-free elimination, ``_bareiss``: each row is scaled to
+integers by the lcm of its denominators and eliminated by Bareiss
+Gauss-Jordan on Python ``int``s, every division exact, so a ``Fraction`` is
+made only for each result.  Rows of ``int``s go through with a scale of 1, so
+a caller that holds a system on integers, as ``correspondence`` does for the
+factorial matrix C, hands it over with no ``Fraction`` at all.  ``rank`` lays
+sparse vectors out as dense rows over the keys they touch, so an integer
+boundary, as ``quiver`` builds, is eliminated on integers too.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from math import lcm
 
 class SingularMatrixError(ValueError):
     pass
-
-
-_ONE = Fraction(1)
 
 
 def format_fraction(x) -> str:
@@ -78,11 +75,8 @@ class RationalMatrix:
         """Determinant: the signed final pivot of ``_bareiss`` over the product of the row scales."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        eliminated = _bareiss(self.data, self.rows)
-        if eliminated is None:
-            return Fraction(0)
-        sign, scale, pivot, _ = eliminated
-        return Fraction(sign * pivot, scale)
+        rank, sign, scale, pivot, _ = _bareiss(self.data, self.rows)
+        return Fraction(sign * pivot, scale) if rank == self.rows else Fraction(0)
 
     def solve(self, rhs: "RationalMatrix") -> "RationalMatrix":
         """Solve the square system ``self @ x = rhs`` exactly, one column of ``x`` per column of ``rhs``.
@@ -97,10 +91,9 @@ class RationalMatrix:
         n = self.rows
         if rhs.rows != n:
             raise ValueError("rhs length mismatch")
-        eliminated = _bareiss([row + b_row for row, b_row in zip(self.data, rhs.data)], n)
-        if eliminated is None:
+        rank, _, _, pivot, rows = _bareiss([row + b_row for row, b_row in zip(self.data, rhs.data)], n)
+        if rank < n:
             raise SingularMatrixError("singular system")
-        _, _, pivot, rows = eliminated
         return RationalMatrix([[Fraction(x, pivot) for x in row[n:]] for row in rows])
 
     def to_strings(self) -> list[list[str]]:
@@ -116,13 +109,14 @@ def _bareiss(rows, n: int):
     Each row is multiplied by the lcm of its denominators; ``scale`` is the
     product of these factors.  The first ``n`` columns (the unknowns) are
     eliminated by one-step Bareiss Gauss-Jordan, swapping a row from below
-    in when a pivot is zero, and every division is exact because each entry
-    is then a minor of the scaled matrix.  Returns ``None`` if those columns
-    are singular, else ``(sign, scale, pivot, rows)``: ``sign`` of the row
-    swaps, the final pivot (the determinant of the scaled, swapped ``n x n``
+    in when a pivot is zero and skipping a column with no nonzero entry left
+    below, and every division is exact because each entry is then a minor of
+    the scaled matrix.  Returns ``(rank, sign, scale, pivot, rows)``: the
+    number of pivots, ``sign`` of the row swaps, the last pivot (for ``n``
+    rows of rank ``n``, the determinant of the scaled, swapped ``n x n``
     block), and the eliminated rows, whose entries after the first ``n`` are
-    ``pivot`` times the solution.  Only the entries that a later step or the
-    solution reads are updated; the first ``n`` columns are left stale.
+    then ``pivot`` times the solution.  Only the entries that a later step or
+    the solution reads are updated; the first ``n`` columns are left stale.
     """
     scale = 1
     m = []
@@ -130,60 +124,41 @@ def _bareiss(rows, n: int):
         row_scale = lcm(*(x.denominator for x in row))
         scale *= row_scale
         m.append([x.numerator * (row_scale // x.denominator) for x in row])
-    sign, prev = 1, 1
+    rank, sign, prev = 0, 1, 1
     for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k]), None)
+        p = next((i for i in range(rank, len(m)) if m[i][k]), None)
         if p is None:
-            return None
-        if p != k:
-            m[k], m[p] = m[p], m[k]
+            continue
+        if p != rank:
+            m[rank], m[p] = m[p], m[rank]
             sign = -sign
-        pivot_row = m[k]
+        pivot_row = m[rank]
         pivot, tail = pivot_row[k], pivot_row[k + 1:]
         # rows above the pivot are read again only for their right-hand sides
-        for row in m if len(pivot_row) > n else m[k + 1:]:
+        for row in m if len(pivot_row) > n else m[rank + 1:]:
             if row is not pivot_row:
                 f = row[k]
                 row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = pivot
-    return sign, scale, prev, m
-
-
-def _subtract(row: dict, factor: Fraction, other: dict) -> None:
-    """``row -= factor * other`` in place, dropping entries that cancel."""
-    for col, value in other.items():
-        value = row.get(col, 0) - factor * value
-        if value:
-            row[col] = value
-        else:
-            del row[col]
-
-
-def _echelon(rows, n: int | None = None) -> dict:
-    """Gauss-Jordan elimination over sparse rows read one at a time.
-
-    A row maps each column to its value through ``items()``.  Pivots are taken
-    among the columns ``0 .. n-1`` (the unknowns) when ``n`` is given, else
-    among all.  Returns the pivot rows by pivot column, each with a 1 there
-    and no entry in any other pivot column.
-    """
-    pivots: dict = {}
-    for row in rows:
-        row = {col: value for col, value in row.items() if value}
-        for col in [c for c in row if c in pivots]:
-            _subtract(row, row[col], pivots[col])
-        col = next((c for c in row if n is None or c < n), None)
-        if col is None:
-            continue
-        inv = _ONE / row[col]
-        row = {c: value * inv for c, value in row.items()}
-        for pivot_row in pivots.values():
-            if col in pivot_row:
-                _subtract(pivot_row, pivot_row[col], row)
-        pivots[col] = row
-    return pivots
+        rank += 1
+    return rank, sign, scale, prev, m
 
 
 def rank(vectors) -> int:
-    """Rank of sparse vectors, each mapping coordinate keys to values through ``items()``."""
-    return len(_echelon(vectors))
+    """Rank of sparse vectors, each mapping coordinate keys to values through ``items()``.
+
+    The keys are numbered in the order they are first seen, and the vectors,
+    laid out as dense rows over them, go through ``_bareiss``.
+    """
+    supports = [vector.items() for vector in vectors]
+    columns: dict = {}
+    for support in supports:
+        for key, _ in support:
+            columns.setdefault(key, len(columns))
+    rows = []
+    for support in supports:
+        row = [0] * len(columns)
+        for key, value in support:
+            row[columns[key]] = value
+        rows.append(row)
+    return _bareiss(rows, len(columns))[0]

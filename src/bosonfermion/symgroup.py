@@ -30,7 +30,6 @@ equations.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .partitions import (
@@ -56,12 +55,6 @@ def _swapped(cv: tuple[int, ...], i: int) -> tuple[int, ...]:
     return cv[: i - 1] + (cv[i], cv[i - 1]) + cv[i + 1 :]
 
 
-@lru_cache(maxsize=None)
-def _seminormal(d: int) -> tuple[Fraction, Fraction]:
-    # shared by every content vector with content difference d
-    return Fraction(1, d), Fraction(d - 1, d)
-
-
 def _act(i: int, cv: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     """The i-th adjacent transposition on one basis vector: (content vector, value) pairs.
 
@@ -69,10 +62,9 @@ def _act(i: int, cv: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fraction],
     standard (|d| != 1) the swapped vector gets (d-1)/d.
     """
     d = cv[i] - cv[i - 1]
-    diagonal, off_diagonal = _seminormal(d)
     if abs(d) == 1:
-        return ((cv, diagonal),)
-    return ((cv, diagonal), (_swapped(cv, i), off_diagonal))
+        return ((cv, Fraction(1, d)),)
+    return ((cv, Fraction(1, d)), (_swapped(cv, i), Fraction(d - 1, d)))
 
 
 class RemovalPath(NamedTuple):
@@ -104,8 +96,7 @@ def removal_path(lam1, lam, mu, *wanted: str) -> RemovalPath:
         b1, b2 = added_box(lam1, lam), added_box(lam, mu)
     except ValueError:
         raise ValueError(f"{lam1} -> {lam} -> {mu} is not a path of single box additions") from None
-    nu = None if abs(content(b2) - content(b1)) == 1 else add_box(lam1, b2)
-    path = RemovalPath(lam1, lam, mu, b1, b2, nu)
+    path = _path(lam1, lam, mu, b1, b2)
     for branch in wanted:
         if branch not in (LAM_BRANCH, NU_BRANCH):
             raise ValueError(f"unknown branch {branch!r}")
@@ -124,8 +115,13 @@ def paths_through(lam: Partition):
     below = sorted((remove_box(lam, box), box) for box in removable_corners(lam))
     for mu, b2 in sorted((add_box(lam, box), box) for box in addable_boxes(lam)):
         for lam1, b1 in below:
-            nu = None if abs(content(b2) - content(b1)) == 1 else add_box(lam1, b2)
-            yield RemovalPath(lam1, lam, mu, b1, b2, nu)
+            yield _path(lam1, lam, mu, b1, b2)
+
+
+def _path(lam1: Partition, lam: Partition, mu: Partition, b1: Box, b2: Box) -> RemovalPath:
+    """The ``RemovalPath`` adding b1 then b2, with nu = lam1 + b2, or None for a domino."""
+    nu = None if abs(content(b2) - content(b1)) == 1 else add_box(lam1, b2)
+    return RemovalPath(lam1, lam, mu, b1, b2, nu)
 
 
 def _oracle_solve(lam1: Partition, c1: int, c2: int) -> tuple[Fraction, ...]:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bosonfermion.correspondence import det_a_closed, matrix_c
 from bosonfermion.partitions import dual, partitions_up_to
-from bosonfermion.ratmat import RationalMatrix, SingularMatrixError, _echelon, rank
+from bosonfermion.ratmat import RationalMatrix, SingularMatrixError, rank
 
 
 def test_matrix_keeps_fraction_entries_and_coerces_others():
@@ -56,25 +56,27 @@ def largest_nonzero_minor(m):
     )
 
 
-small_integer_matrices = st.integers(1, 4).flatmap(
-    lambda cols: st.lists(
-        st.lists(st.integers(-2, 2), min_size=cols, max_size=cols), min_size=0, max_size=4
-    )
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(small_integer_matrices)
-def test_rank_matches_the_largest_nonzero_minor(m):
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
-    assert rank(rows) == largest_nonzero_minor(m)
-
-
 # Rational entries, zero half the time, so leading pivots vanish and force row swaps.
 rationals = st.one_of(
     st.just(Fraction(0)),
     st.sampled_from(sorted({Fraction(p, q) for p in range(-4, 5) for q in range(1, 7)})),
 )
+
+
+def small_matrices(elements):
+    """Up to 5 rows of 1 to 4 columns, so some have more rows than columns."""
+    return st.integers(1, 4).flatmap(
+        lambda cols: st.lists(
+            st.lists(elements, min_size=cols, max_size=cols), min_size=0, max_size=5
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_matrices(st.integers(-2, 2)), small_matrices(rationals)))
+def test_rank_matches_the_largest_nonzero_minor(m):
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    assert rank(rows) == largest_nonzero_minor(m)
 
 
 def square_systems(max_n=5, max_rhs=3):
@@ -87,10 +89,44 @@ def square_systems(max_n=5, max_rhs=3):
     )
 
 
+def subtract(row: dict, factor: Fraction, other: dict) -> None:
+    """``row -= factor * other`` in place, dropping entries that cancel."""
+    for col, value in other.items():
+        value = row.get(col, 0) - factor * value
+        if value:
+            row[col] = value
+        else:
+            del row[col]
+
+
+def echelon(rows, n: int) -> dict:
+    """Gauss-Jordan elimination over sparse rows read one at a time.
+
+    A row maps each column to its value through ``items()``.  Pivots are taken
+    among the columns ``0 .. n-1`` (the unknowns).  Returns the pivot rows by
+    pivot column, each with a 1 there and no entry in any other pivot column.
+    """
+    pivots: dict = {}
+    for row in rows:
+        row = {col: value for col, value in row.items() if value}
+        for col in [c for c in row if c in pivots]:
+            subtract(row, row[col], pivots[col])
+        col = next((c for c in row if c < n), None)
+        if col is None:
+            continue
+        inv = Fraction(1) / row[col]
+        row = {c: value * inv for c, value in row.items()}
+        for pivot_row in pivots.values():
+            if col in pivot_row:
+                subtract(pivot_row, pivot_row[col], row)
+        pivots[col] = row
+    return pivots
+
+
 def echelon_solve(a, b):
     """Model of ``solve``: Gauss-Jordan over sparse ``Fraction`` rows, or None if singular."""
     n = len(a)
-    pivots = _echelon((dict(enumerate(row + b_row)) for row, b_row in zip(a, b)), n)
+    pivots = echelon((dict(enumerate(row + b_row)) for row, b_row in zip(a, b)), n)
     if len(pivots) < n:
         return None
     return [[pivots[i].get(j, 0) for j in range(n, n + len(b[0]))] for i in range(n)]
