@@ -254,8 +254,10 @@ def run_complex(args) -> int:
 
 
 def run_resolve(args) -> int:
-    lam = parse_partition(args.lam)
     n = args.n
+    if n < 0:
+        raise CliError(f"--n must be non-negative, got {n}")
+    lam = parse_partition(args.lam)
     if n > MAX_RESOLVE_N:
         raise CliError(f"--n {n} exceeds the cap --n <= {MAX_RESOLVE_N}")
     if args.kind == "simple":

@@ -251,48 +251,38 @@ def wtq_tensor(lam) -> WtqComplex:
     return WtqComplex(lam, k, components, matrix_c(lam, k), corner_columns)
 
 
-def _g_vectors(lam: Partition, anchors, k: int) -> list[list[Fraction]]:
-    """Chain-map solutions for several corners of lam, in one elimination of C.
+def corner_solutions(lam: Partition) -> dict[int, list[Fraction]]:
+    """The chain-map solution of every corner of lam, keyed by its window index, from one elimination.
 
-    Each corner contributes one right-hand side: minus the inverse
-    factorials measured from its window index ``content(b1) + 1``, with b1
-    the corner box; the ``anchors`` are these indices.  ``k`` is at least the
-    column count of lam.  The integer rows of ``_c_rows``, right-hand sides
-    included, go to ``ratmat._bareiss`` as they are, so a ``Fraction`` is made
-    only for each solution component.
+    Each corner contributes one right-hand side: minus the inverse factorials
+    measured from its window index ``content(b1) + 1``, with b1 the corner
+    box.  The window has lam_1 + 1 copies, which hold the column j0 of every
+    box addable to lam, so one solve serves every mu above lam.  The integer
+    rows of ``_c_rows``, right-hand sides included, go to ``ratmat._bareiss``
+    as they are, so a ``Fraction`` is made only for each solution component.
     """
+    anchors = [content(box) + 1 for box in removable_corners(lam)]
+    k = lam[0] + 1
     rank, _, _, pivot, rows = ratmat._bareiss([row for _, row in _c_rows(lam, k, anchors)], k)
     if rank < k:
         raise ratmat.SingularMatrixError(f"C of {lam} at {k} copies is singular")
     # the rows carry +1/(i - a)!, so each component is negated
-    return [[Fraction(-row[k + c], pivot) for row in rows] for c in range(len(anchors))]
-
-
-def corner_solutions(lam: Partition) -> dict[int, list[Fraction]]:
-    """The chain-map solution of every corner of lam, keyed by its window index, from one elimination.
-
-    The window lam_1 + 1 holds the column j0 of every box addable to lam, so
-    one solve serves every mu above lam; ``g_vector`` says why a smaller
-    window gives the same components.
-    """
-    anchors = [content(box) + 1 for box in removable_corners(lam)]
-    return dict(zip(anchors, _g_vectors(lam, anchors, lam[0] + 1)))
+    return {a: [Fraction(-row[k + c], pivot) for row in rows] for c, a in enumerate(anchors)}
 
 
 def g_vector(lam, lam1) -> list[Fraction]:
     """Unique solution of the chain-map condition for the corner at lam1, at lam_1 copies.
 
     The right-hand side carries inverse factorials measured from the corner's
-    window index; nonsingularity of C makes the solution unique.  This is the
-    one-corner case of the elimination that ``corner_solutions`` runs at
-    window lam_1 + 1 for all corners of lam; the added column belongs to
-    contractible pairs of the untruncated complex and leaves the lower
-    components unchanged.
+    window index; nonsingularity of C makes the solution unique.  These are
+    the first lam_1 components of the corner's solve in ``corner_solutions``,
+    at lam_1 + 1 copies: the added column belongs to contractible pairs of the
+    untruncated complex and leaves the lower components unchanged.
     """
     lam, lam1 = as_partition(lam), as_partition(lam1)
     if lam1 not in res_set(lam):
         raise ValueError(f"{lam1} is not obtained from {lam} by removing a corner")
-    return _g_vectors(lam, [content(added_box(lam1, lam)) + 1], lam[0])[0]
+    return corner_solutions(lam)[content(added_box(lam1, lam)) + 1][: lam[0]]
 
 
 def tilde_a(lam1, lam, mu, branch: str) -> Fraction:

@@ -4,13 +4,14 @@ Vectors are finite rational combinations of charged sequences.  The odd and
 even generators act by contraction and insertion; the vertex-operator style
 partial sums are evaluated over the finite index window that can act
 nontrivially on the support of the input.  Every image is made from a
-sequence's bit masks by ``partitions.clifford_t`` or by ``ChargedSequence.remove``
-or ``shift``, so the operators accumulate through ``FormalSum._apply``
-without checking each key again.  A key hashes and compares as its two
-masks, in C; terms print in the order of ``FockVector._sort_key``, by
-(charge, head), and print from that pair, so each head is read off the
-masks once per print.  Each image carries a sign of +-1, which ``_apply``
-applies by negation.
+sequence's bit masks by ``partitions.clifford_t``, read through ``_t_key``,
+or by ``shift`` (``tau``), so the operators accumulate through
+``FormalSum._apply`` without checking each key again.  psi*_j is the first
+image of t_{2j-1} = psi*_j + psi*_{j-1} where 2j is present.  A key hashes
+and compares as its two masks, in C; terms print in the order of
+``FockVector._sort_key``, by (charge, head), and print from that pair, so
+each head is read off the masks once per print.  Each image carries a sign
+of +-1, which ``_apply`` applies by negation.
 """
 
 from __future__ import annotations
@@ -53,17 +54,10 @@ def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def _psi_star_key(j: int, key: ChargedSequence):
-    rem = key.remove(2 * j)
-    if rem is None:
-        return []
-    n, seq = rem
-    return [(_sign(n - 1), seq)]
-
-
 # Images of one sequence under t_i as (sign, sequence) pairs.  Every operator
-# here, and the Clifford sweep in ``suites``, reads this name at run time, so
-# it is the one place to patch the generator action.
+# here but the shift ``tau``, psi* included, and the Clifford sweep in
+# ``suites`` read this name at run time, so it is the one place to patch the
+# generator action.
 _t_key = clifford_t
 
 
@@ -73,8 +67,11 @@ def apply_psi(j: int, v: FockVector) -> FockVector:
 
 
 def apply_psi_star(j: int, v: FockVector) -> FockVector:
-    """Delete the value 2j with the fermionic sign; zero where 2j is absent."""
-    return v._apply(lambda key: _psi_star_key(j, key))
+    """Delete the value 2j with the fermionic sign; zero where 2j is absent.
+
+    t_{2j-1} removes 2j before 2j - 2, so where 2j is present its first image is psi*_j's.
+    """
+    return v._apply(lambda key: _t_key(2 * j - 1, key)[:1] if 2 * j in key else ())
 
 
 def apply_t(i: int, v: FockVector) -> FockVector:

@@ -14,9 +14,9 @@ point: every key given to it first passes the subclass hook ``_check_key``.
 whose keys have passed it already.  The operators in ``schur`` and ``fock``
 use the private ``_apply``, which skips the hook: their images come only
 from primitives that return normalised keys (``res_set``, ``ind_set``, the
-strip enumerators, ``partitions.clifford_t`` and ``ChargedSequence.remove``
-and ``shift``).  In ``_apply`` an image coefficient of 1 keeps the stored
-coefficient and one of -1 negates it; only other values multiply.
+strip enumerators, ``partitions.clifford_t`` and ``ChargedSequence.shift``).
+In ``_apply`` an image coefficient of 1 keeps the stored coefficient and one
+of -1 negates it; only other values multiply.
 """
 
 from __future__ import annotations

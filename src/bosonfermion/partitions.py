@@ -5,9 +5,9 @@ tuple is the empty partition.  A charged sequence is a semi-infinite strictly
 increasing sequence of even integers that eventually agrees with the shifted
 vacuum tail ``x_i = 2i + 2k``; ``k`` is its charge.  It is stored as two bit
 masks against the charge-0 vacuum {2, 4, 6, ...}, the present values up to 0
-and the absent values from 2, so the Clifford generators (:func:`clifford_t`)
-and ``remove`` and ``shift`` act by bit tests and bit flips, with
-one ``bit_count`` of the entries below a value for its fermionic sign.
+and the absent values from 2, so the Clifford generators (:func:`clifford_t`,
+the one insertion and removal) and ``shift`` act by bit tests and bit flips,
+with one ``bit_count`` of the entries below a value for its fermionic sign.
 """
 
 from __future__ import annotations
@@ -361,25 +361,6 @@ class ChargedSequence(tuple):
         p, h = self
         return x % 2 == 0 and (bool(p >> (-x // 2) & 1) if x <= 0 else not h >> (x // 2 - 1) & 1)
 
-    def remove(self, x: int) -> tuple[int, "ChargedSequence"] | None:
-        """Remove x, returning (1-based position of x, new sequence).
-
-        Returns None when x is absent.  The new sequence has charge one higher.
-        """
-        if x % 2 != 0:
-            return None
-        p, h = self
-        if x <= 0:  # P's bit -x/2
-            b = -x // 2
-            if not p >> b & 1:
-                return None
-            return (p >> b + 1).bit_count() + 1, _make(ChargedSequence, (p ^ 1 << b, h))
-        b = x // 2 - 1  # H's bit x/2 - 1
-        if h >> b & 1:
-            return None
-        below = p.bit_count() + b - (h & (1 << b) - 1).bit_count()
-        return below + 1, _make(ChargedSequence, (p, h | 1 << b))
-
     def shift(self, steps: int) -> "ChargedSequence":
         """Add 2*steps to every entry; charge moves by steps."""
         p, h = self
@@ -415,9 +396,10 @@ def clifford_t(i: int, s: ChargedSequence) -> list:
     """Images of s under the Clifford generator t_i, as (sign, sequence) pairs.
 
     An even i inserts the value i; an odd i removes i + 1 and then i - 1.
-    Each sign is -1 to the number of entries below the value that moves.  The
-    bit logic of ``ChargedSequence.remove`` is written out here: a call per
-    value cost the ``clifford`` sweep about 20 %.
+    Each sign is -1 to the number of entries below the value that moves.
+    The image order is a contract: where i + 1 is present, the first image of
+    an odd i is its removal, which ``fock.apply_psi_star`` reads as psi*.
+    This is the package's only insertion and removal of a value.
     """
     p, h = s
     if not i & 1:

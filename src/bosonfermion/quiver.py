@@ -99,12 +99,9 @@ class Truncation:
         """
         return len(p) <= self.n and sum(p) <= self.m
 
-    def iter_labels(self):
-        """The labels of the truncation, normalised, enumerated once per truncation."""
-        return iter(self._labels)
-
     @cached_property
-    def _labels(self) -> tuple:
+    def labels(self) -> tuple:
+        """The labels of the truncation, normalised, enumerated once per truncation."""
         return tuple(partitions_bounded(self.n, self.m))
 
 
@@ -304,7 +301,7 @@ def graded_euler_check(res: Resolution, target, tr: Truncation) -> bool:
                 etas = interlacing(label)
             for eta in etas:
                 totals[eta] = totals.get(eta, 0) + sign
-    return all(totals.get(eta, 0) == target(eta) for eta in tr.iter_labels())
+    return all(totals.get(eta, 0) == target(eta) for eta in tr.labels)
 
 
 def _basis(res: Resolution, degree: int, tr: Truncation) -> list:
@@ -362,7 +359,7 @@ def serre_bar_k0(lam, n: int) -> Partition:
 
 
 def q_module_dims(lam, n: int, m: int):
-    """Euler target: 1 at the twisted module's sources; eta normalised, as ``iter_labels`` yields it."""
+    """Euler target: 1 at the twisted module's sources; eta normalised, as ``Truncation.labels`` lists it."""
     sources = {a.source for a in q_module_basis(lam, n, m)}
     return lambda eta: 1 if eta in sources else 0
 

@@ -231,6 +231,18 @@ def test_resolve_rejects_an_n_over_the_cap(monkeypatch, capsys, kind):
     assert f"--n <= {cap}" in err
 
 
+@pytest.mark.parametrize("kind", ["q", "dfp", "simple"])
+def test_resolve_rejects_a_negative_n(monkeypatch, capsys, kind):
+    def unreachable(*args):
+        raise AssertionError("the resolution was built")
+
+    for name in ("resolution_q", "resolution_df_p", "resolution_simple"):
+        monkeypatch.setattr(cli.quiver, name, unreachable)
+    code, out, err = run(capsys, "resolve", "--kind", kind, "--lam", "()", "--n", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --n must be non-negative, got -1\n"
+
+
 def test_resolve_dfp_without_rows_is_a_usage_error(capsys):
     code, out, err = run(capsys, "resolve", "--kind", "dfp", "--lam", "()", "--n", "0")
     assert code == 2 and out == ""

@@ -237,14 +237,19 @@ def test_level_built_paths_are_the_checked_paths():
                 assert path == symgroup.removal_path(path.lam1, lam, path.mu), path
 
 
+def dense_corner_solve(lam, anchor, k):
+    """The corner's chain-map solution at k copies, by the dense solve of C."""
+    rhs = RationalMatrix([[-inv_factorial(i - anchor)] for i in range(1, k + 1)])
+    return matrix_c(lam, k).solve(rhs).column(0)
+
+
 def test_corner_solution_window_covers_the_edge_window():
     # the solve per lam uses lam_1 + 1 copies; the first lam_1 components
     # are those of the column-count window
     for lam in partitions_up_to(10):
         for lam1 in res_set(lam):
             anchor = content(added_box(lam1, lam)) + 1
-            wide = correspondence._g_vectors(lam, [anchor], lam[0] + 1)[0]
-            assert g_vector(lam, lam1) == wide[: lam[0]], (lam1, lam)
+            assert g_vector(lam, lam1) == dense_corner_solve(lam, anchor, lam[0]), (lam1, lam)
 
 
 def test_integer_corner_solve_is_the_dense_solve():
@@ -252,10 +257,8 @@ def test_integer_corner_solve_is_the_dense_solve():
     for lam in partitions_up_to(10):
         if not lam:
             continue
-        k = lam[0] + 1
         for anchor, solution in correspondence.corner_solutions(lam).items():
-            rhs = RationalMatrix([[-inv_factorial(i - anchor)] for i in range(1, k + 1)])
-            assert solution == matrix_c(lam, k).solve(rhs).column(0), (lam, anchor)
+            assert solution == dense_corner_solve(lam, anchor, lam[0] + 1), (lam, anchor)
 
 
 def test_matrix_c_is_its_inverse_factorial_definition():
@@ -275,7 +278,7 @@ def test_tilde_a_is_one_corner_of_the_shared_solve():
             copies = max(len(dual(lam)), j0)
             anchor = content(added_box(lam1, lam)) + 1
             solved = tilde_a(lam1, lam, mu, LAM_BRANCH)
-            assert solved == correspondence._g_vectors(lam, [anchor], copies)[0][j0 - 1], (lam1, lam, mu)
+            assert solved == dense_corner_solve(lam, anchor, copies)[j0 - 1], (lam1, lam, mu)
             assert report[(lam1, lam, LAM_BRANCH)]["a_tilde"] == solved
 
 

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from bosonfermion import fock
+from bosonfermion import cli, fock
 from bosonfermion.fock import (
     FockVector,
     apply_psi,
@@ -192,6 +192,19 @@ def test_clifford_suite_words_are_the_public_operator():
                     total = _add_word(dict(word), j, first[i])
                     want = apply_word((i, j), v) + apply_word((j, i), v)
                     assert total == want._terms, (i, j, s)
+
+
+def test_every_fock_operator_but_the_shift_reads_the_generator_action(monkeypatch):
+    # with fock._t_key the zero action, every Fock operator of ``act`` is zero
+    # on a vector it moves, except the shift tau
+    index = {"t": 0, "psi": 0, "psi*": 1, "sbar": 2, "sn": 2, "gq": 4, "gp": 4, "tau": 1}
+    acts = {name: act for name, (space, act) in cli._ACT.items() if space == "fock"}
+    assert acts.keys() == index.keys()
+    v = basis(to_sequence((2, 1)))  # (-2, 2, 6, 8, ...)
+    assert not any(act(index[name], v).is_zero() for name, act in acts.items())
+    monkeypatch.setattr(fock, "_t_key", lambda i, key: [])
+    moved = [name for name, act in acts.items() if not act(index[name], v).is_zero()]
+    assert moved == ["tau"]
 
 
 def _clifford_failures(monkeypatch, wrong_t2):

@@ -199,6 +199,11 @@ def test_energy_examples():
     assert ChargedSequence.of(0, (2, 4)).energy == 0 and ChargedSequence.of(-1, (-2,)).energy == 1
 
 
+def psi_star(s, x):
+    """The removal of the even value x from s by psi*_{x/2}, as (sign, sequence) pairs; [] where x is absent."""
+    return [(int(c), seq) for seq, c in fock.apply_psi_star(x // 2, FockVector.basis(s)).items()]
+
+
 def test_sequence_contains_and_positions():
     s = to_sequence((2, 1))  # (-2, 2, 6, 8, ...)
     assert -2 in s and 2 in s and 6 in s and 100 in s
@@ -211,17 +216,17 @@ def test_insert_remove_inverse():
     s = to_sequence((2, 1))
     [(sign, bigger)] = clifford_t(0, s)
     assert sign == -1 and 0 in bigger and bigger.charge == -1
-    pos, back = bigger.remove(0)
-    assert pos == 2 and back == s
+    [(sign, back)] = psi_star(bigger, 0)  # 0 is the second entry of bigger
+    assert sign == -1 and back == s
 
 
 def test_remove_from_the_tail_materialises_the_gap():
     s = to_sequence((2, 1))  # (-2, 2, 6, 8, 10, 12, ...), tail from 6
     assert s.head == (-2, 2) and s.first_tail_value == 6
-    pos, seq = s.remove(6)  # the first tail value
-    assert pos == 3 and seq == ChargedSequence(1, (-2, 2))
-    pos, seq = s.remove(12)  # three steps into the tail
-    assert pos == 6 and seq == ChargedSequence(1, (-2, 2, 6, 8, 10))
+    [(sign, seq)] = psi_star(s, 6)  # the first tail value, the third entry
+    assert sign == 1 and seq == ChargedSequence(1, (-2, 2))
+    [(sign, seq)] = psi_star(s, 12)  # three steps into the tail, the sixth entry
+    assert sign == -1 and seq == ChargedSequence(1, (-2, 2, 6, 8, 10))
     assert seq.prefix(6) == (-2, 2, 6, 8, 10, 14)
 
 
@@ -239,7 +244,7 @@ def test_insert_present_value_and_remove_absent_value():
     for x in (-2, 2, 6, 8, 100):  # head, first tail value, deep in the tail
         assert clifford_t(x, s) == []
     for x in (-4, 0, 4):
-        assert s.remove(x) is None
+        assert psi_star(s, x) == []
 
 
 def test_insert_remove_shift_results_are_canonical():
@@ -249,9 +254,7 @@ def test_insert_remove_shift_results_are_canonical():
             results = [s.shift(steps) for steps in range(-2, 3)]
             for x in range(s.value(1) - 6, s.first_tail_value + 8, 2):
                 results += [seq for _, seq in clifford_t(x, s)]  # insertion at even x
-                out = s.remove(x)
-                if out is not None:
-                    results.append(out[1])
+                results += [seq for _, seq in psi_star(s, x)]  # removal of x
             for r in results:
                 assert type(r.head) is tuple
                 assert r == ChargedSequence(r.charge, r.head), (s, r)
@@ -318,7 +321,7 @@ def test_sequences_hash_compare_and_print_as_charge_head_pairs():
 def test_odd_values():
     s = to_sequence((2, 1))
     for x in (-3, 1, 3, 7, 101):
-        assert s.remove(x) is None and x not in s
+        assert x not in s
 
 
 # -- partitions_of ---------------------------------------------------------
@@ -580,13 +583,15 @@ def test_insert_against_model(s, x):
 @settings(max_examples=200)
 @given(sequences(), queries)
 def test_remove_against_model(s, x):
+    # removal is psi* of an even value, signed by the entries below it
+    x -= x % 2
     entries = model(s)
-    out = s.remove(x)
+    out = psi_star(s, x)
     if x not in entries:
-        assert out is None
+        assert out == []
         return
-    pos, seq = out
-    assert pos == entries.index(x) + 1
+    [(sign, seq)] = out
+    assert sign == (-1) ** entries.index(x)
     assert seq.charge == s.charge + 1
     expected = [v for v in entries if v != x]
     assert list(seq.prefix(len(expected))) == expected
@@ -666,8 +671,10 @@ def check_against_reference(s, i):
     t = [(c, as_pair(image)) for c, image in fock._t_key(i, s)]
     assert t == ref_t(i, *key), (key, i)
     if i % 2 == 0:
-        out = s.remove(i)
-        assert (out and (out[0], as_pair(out[1]))) == ref_remove(*key, i), (key, i)
+        # psi* of i against the removal model, signed (-1)^(position - 1)
+        found = ref_remove(*key, i)
+        want = [(1 if found[0] % 2 else -1, found[1])] if found else []
+        assert [(c, as_pair(image)) for c, image in psi_star(s, i)] == want, (key, i)
 
 
 def test_masks_match_the_tuple_reference_on_the_sizing_sweep():
@@ -708,8 +715,6 @@ def test_masks_at_the_cli_caps():
         for steps in (-1000, -1, 1, 1000):
             assert as_pair(s.shift(steps)) == ref_shift(k, (), steps)
         for x in (-2000, -1998, 1998, 2000, 2002):
-            out = s.remove(x)
-            if out:
-                image = out[1]
+            for _, image in psi_star(s, x):
                 for i in (x - 1, x, x + 1):
                     check_against_reference(image, i)
